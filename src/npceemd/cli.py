@@ -10,11 +10,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import sys
 import tempfile
 from dataclasses import dataclass
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -31,6 +33,7 @@ from .pipeline import (
 from .signals import Signal, rms
 from .simulate import (
     DefectSimParams,
+    DegradationRun,
     default_severity_law,
     gen_combined,
     gen_defect_signal,
@@ -44,26 +47,14 @@ EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_INTERNAL = 4
 
-FIXTURES = (
-    "tone",
-    "impulses",
-    "combined",
-    "combined-noisy",
-    "defect",
-    "degradation-run",
+COMPARE_COLUMNS = (
+    "method", "hurst", "ensemble", "n_imfs",
+    "tone_corr", "tone_leakage", "impulse_env_corr", "impulse_leakage",
 )
 
 
 class ParseError(ValueError):
     """Input file could not be parsed; the message names the line."""
-
-
-class UnknownFixture(ValueError):
-    """Requested simulation fixture does not exist."""
-
-
-class GroundTruthUnavailable(ValueError):
-    """Separation scoring was requested for data without known components."""
 
 
 class InternalCheckFailed(RuntimeError):
@@ -87,7 +78,7 @@ def _manifest(args: argparse.Namespace, config: dict, input_digest: str) -> RunM
         config=config,
         input_digest=input_digest,
         tool_version=__version__,
-        seed=getattr(args, "seed", None),
+        seed=args.seed,
     )
 
 
@@ -96,19 +87,13 @@ def _manifest_line(manifest: RunManifest) -> str:
     return f"# manifest: {payload}"
 
 
-def _fmt(value: float) -> str:
-    # repr is the shortest round-trip form, so identical values give
-    # identical bytes.
-    return repr(float(value))
-
-
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, lines: Iterable[str]) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(f"{line}\n" for line in lines)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -117,21 +102,21 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _write_csv(
-    path: str,
-    manifest: RunManifest,
-    header: list[str],
-    columns: list[np.ndarray],
+    path: str, manifest: RunManifest, header: Iterable[str], rows: Iterable[Iterable]
 ) -> None:
-    lines = [_manifest_line(manifest), ",".join(header)]
-    rows = len(columns[0]) if columns else 0
-    for r in range(rows):
-        lines.append(",".join(_fmt(col[r]) for col in columns))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    """Manifest line, header, then one line per row of Python scalars.
+
+    ``str`` of a Python float is its ``repr``, the shortest round-trip
+    form, so identical values give identical bytes. Numeric rows come
+    from ``.tolist()`` so no numpy scalar reaches the formatter.
+    """
+    body = (",".join(map(str, row)) for row in rows)
+    _atomic_write(path, itertools.chain((_manifest_line(manifest), ",".join(header)), body))
 
 
 def _write_json(path: str, manifest: RunManifest, payload: dict) -> None:
     document = {"manifest": dataclasses.asdict(manifest), **payload}
-    _atomic_write(path, json.dumps(document, sort_keys=True, indent=1) + "\n")
+    _atomic_write(path, [json.dumps(document, sort_keys=True, indent=1)])
 
 
 def _digest_file(path: str) -> str:
@@ -200,101 +185,32 @@ def read_signal_csv(path: str, sample_rate_hz: float | None = None) -> Signal:
 
 
 def _write_signal_csv(path: str, manifest: RunManifest, s: Signal) -> None:
-    t = s.times()
-    _write_csv(path, manifest, ["time", "value"], [t, s.samples])
+    _write_csv(path, manifest, ["time", "value"], zip(s.times().tolist(), s.samples.tolist()))
 
 
-def _ensemble_config(args: argparse.Namespace) -> EnsembleConfig:
-    sift = SiftConfig(max_imfs=args.max_imfs)
-    return EnsembleConfig(
-        method=args.method,
-        ensemble_size=args.ensemble,
-        noise_scale=args.noise_scale,
-        hurst=args.hurst,
-        master_seed=args.seed if args.seed is not None else 0,
-        sift=sift,
-    )
+def _write_run(path: str, manifest: RunManifest, run: DegradationRun) -> None:
+    """One CSV per specimen, the index at ``path``, and the RMS trend."""
+    out = os.path.dirname(path)
+    minutes = range(1, len(run.specimens) + 1)
+    names = [f"specimen_{m:04d}.csv" for m in minutes]
+    for name, s in zip(names, run.specimens):
+        _write_signal_csv(os.path.join(out, name), manifest, s)
+    _write_csv(path, manifest, ["minute", "filename", "severity"], (
+        (m, name, float(default_severity_law(m))) for m, name in zip(minutes, names)
+    ))
+    _write_csv(os.path.join(out, "rms_trend.csv"), manifest, ["minute", "rms"], (
+        (float(m), rms(s)) for m, s in zip(minutes, run.specimens)
+    ))
 
 
-def _config_snapshot(cfg: EnsembleConfig, extra: dict | None = None) -> dict:
-    snapshot = {
-        "method": cfg.method,
-        "ensemble_size": cfg.ensemble_size,
-        "noise_scale": cfg.noise_scale,
-        "hurst": cfg.hurst,
-        "master_seed": cfg.master_seed,
-        "sift": dataclasses.asdict(cfg.sift),
-    }
-    if extra:
-        snapshot.update(extra)
-    return snapshot
-
-
-def _require_seed(args: argparse.Namespace, why: str) -> None:
+def _require_seed(args: argparse.Namespace, why: str) -> int:
     if args.seed is None:
         raise ParseError(f"--seed is required {why} (no wall-clock default)")
+    return args.seed
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    if args.fixture not in FIXTURES:
-        raise UnknownFixture(f"unknown fixture {args.fixture!r}")
-    out = args.out
-    if args.fixture == "tone":
-        params = {"fixture": "tone"}
-        manifest = _manifest(args, params, _digest_params(params))
-        _write_signal_csv(os.path.join(out, "tone.csv"), manifest, gen_tone())
-    elif args.fixture == "impulses":
-        params = {"fixture": "impulses"}
-        manifest = _manifest(args, params, _digest_params(params))
-        _write_signal_csv(os.path.join(out, "impulses.csv"), manifest, gen_impulses())
-    elif args.fixture == "combined":
-        params = {"fixture": "combined", "snr_db": args.snr_db}
-        if args.snr_db is not None:
-            _require_seed(args, "when adding noise")
-        manifest = _manifest(args, params, _digest_params(params))
-        s = gen_combined(args.snr_db, args.seed)
-        _write_signal_csv(os.path.join(out, "combined.csv"), manifest, s)
-    elif args.fixture == "combined-noisy":
-        _require_seed(args, "for the noisy fixture")
-        snr = args.snr_db if args.snr_db is not None else -30.0
-        params = {"fixture": "combined-noisy", "snr_db": snr}
-        manifest = _manifest(args, params, _digest_params(params))
-        s = gen_combined(snr, args.seed)
-        _write_signal_csv(os.path.join(out, "combined_noisy.csv"), manifest, s)
-    elif args.fixture == "defect":
-        _require_seed(args, "for the defect fixture")
-        p = _defect_params(args)
-        params = {"fixture": "defect", "severity": args.severity,
-                  "params": dataclasses.asdict(p)}
-        manifest = _manifest(args, params, _digest_params(params))
-        s = gen_defect_signal(p, args.severity)
-        _write_signal_csv(os.path.join(out, "defect.csv"), manifest, s)
-    else:  # degradation-run
-        _require_seed(args, "for the degradation run")
-        p = _defect_params(args)
-        params = {"fixture": "degradation-run", "specimens": args.specimens,
-                  "params": dataclasses.asdict(p)}
-        manifest = _manifest(args, params, _digest_params(params))
-        run = gen_degradation_run(p, args.specimens)
-        minutes = np.arange(1, args.specimens + 1, dtype=np.float64)
-        severities = np.array(
-            [default_severity_law(m) for m in range(1, args.specimens + 1)]
-        )
-        rms_values = np.array([rms(s) for s in run.specimens])
-        names = []
-        for m, s in enumerate(run.specimens, start=1):
-            name = f"specimen_{m:04d}.csv"
-            _write_signal_csv(os.path.join(out, name), manifest, s)
-            names.append(name)
-        index_lines = [_manifest_line(manifest), "minute,filename,severity"]
-        for m, name in enumerate(names, start=1):
-            index_lines.append(f"{m},{name},{_fmt(severities[m - 1])}")
-        _atomic_write(os.path.join(out, "index.csv"), "\n".join(index_lines) + "\n")
-        _write_csv(
-            os.path.join(out, "rms_trend.csv"), manifest,
-            ["minute", "rms"], [minutes, rms_values],
-        )
-    return EXIT_OK
+def _noisy_snr(args: argparse.Namespace) -> float:
+    return args.snr_db if args.snr_db is not None else -30.0
 
 
 def _defect_params(args: argparse.Namespace) -> DefectSimParams:
@@ -308,22 +224,88 @@ def _defect_params(args: argparse.Namespace) -> DefectSimParams:
         noise_sigma=args.noise_sigma,
         sample_rate_hz=args.sample_rate if args.sample_rate else 10000.0,
         duration_s=args.duration,
-        seed=args.seed if args.seed is not None else 0,
+        seed=_require_seed(args, f"for the {args.fixture} fixture"),
     )
+
+
+@dataclass(frozen=True)
+class Fixture:
+    """A generated record: its output file, manifest params and generator.
+
+    ``gen_combined`` itself refuses noise without a seed, so the combined
+    fixtures need no seed check here.
+    """
+
+    filename: str
+    params: Callable[[argparse.Namespace], dict]
+    generate: Callable[[argparse.Namespace], Signal | DegradationRun]
+
+
+FIXTURES = {
+    "tone": Fixture("tone.csv", lambda a: {}, lambda a: gen_tone()),
+    "impulses": Fixture("impulses.csv", lambda a: {}, lambda a: gen_impulses()),
+    "combined": Fixture(
+        "combined.csv",
+        lambda a: {"snr_db": a.snr_db},
+        lambda a: gen_combined(a.snr_db, a.seed),
+    ),
+    "combined-noisy": Fixture(
+        "combined_noisy.csv",
+        lambda a: {"snr_db": _noisy_snr(a)},
+        lambda a: gen_combined(_noisy_snr(a), a.seed),
+    ),
+    "defect": Fixture(
+        "defect.csv",
+        lambda a: {"severity": a.severity, "params": dataclasses.asdict(_defect_params(a))},
+        lambda a: gen_defect_signal(_defect_params(a), a.severity),
+    ),
+    "degradation-run": Fixture(
+        "index.csv",
+        lambda a: {"specimens": a.specimens, "params": dataclasses.asdict(_defect_params(a))},
+        lambda a: gen_degradation_run(_defect_params(a), a.specimens),
+    ),
+}
+
+
+def cmd_simulate(args: argparse.Namespace) -> int:
+    fixture = FIXTURES[args.fixture]
+    params = {"fixture": args.fixture, **fixture.params(args)}
+    manifest = _manifest(args, params, _digest_params(params))
+    data = fixture.generate(args)
+    path = os.path.join(args.out, fixture.filename)
+    if isinstance(data, DegradationRun):
+        _write_run(path, manifest, data)
+    else:
+        _write_signal_csv(path, manifest, data)
+    return EXIT_OK
+
+
+def _ensemble_config(args: argparse.Namespace, **overrides) -> EnsembleConfig:
+    fields = dict(
+        method=args.method,
+        ensemble_size=args.ensemble,
+        noise_scale=args.noise_scale,
+        hurst=args.hurst,
+        master_seed=args.seed if args.seed is not None else 0,
+        sift=SiftConfig(max_imfs=args.max_imfs),
+    )
+    return EnsembleConfig(**{**fields, **overrides})
+
+
+def _input_signal(args: argparse.Namespace) -> Signal:
+    if args.method != "emd":
+        _require_seed(args, "for ensemble methods")
+    return read_signal_csv(args.input, args.sample_rate)
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
-    if args.method != "emd":
-        _require_seed(args, "for ensemble methods")
-    signal = read_signal_csv(args.input, args.sample_rate)
+    signal = _input_signal(args)
     cfg = _ensemble_config(args)
     imf_set = decompose(signal, cfg)
-    manifest = _manifest(
-        args, _config_snapshot(cfg), _digest_file(args.input)
-    )
+    manifest = _manifest(args, dataclasses.asdict(cfg), _digest_file(args.input))
     header = [f"imf_{i}" for i in range(1, imf_set.n_imfs + 1)] + ["residue"]
-    columns = list(imf_set.imfs) + [imf_set.residue]
-    _write_csv(os.path.join(args.out, "imfs.csv"), manifest, header, columns)
+    columns = [c.tolist() for c in (*imf_set.imfs, imf_set.residue)]
+    _write_csv(os.path.join(args.out, "imfs.csv"), manifest, header, zip(*columns))
     if args.verify:
         reference = float(np.max(np.abs(signal.samples)))
         error = float(np.max(np.abs(signal.samples - imf_set.reconstruct())))
@@ -339,19 +321,16 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
-    if args.method != "emd":
-        _require_seed(args, "for ensemble methods")
-    signal = read_signal_csv(args.input, args.sample_rate)
+    signal = _input_signal(args)
     cfg = _ensemble_config(args)
-    extra = {
+    config = {
+        **dataclasses.asdict(cfg),
         "select": args.select,
         "mi_threshold": args.mi_threshold,
         "k": args.k,
         "target_hz": args.target_hz,
     }
-    manifest = _manifest(
-        args, _config_snapshot(cfg, extra), _digest_file(args.input)
-    )
+    manifest = _manifest(args, config, _digest_file(args.input))
     if args.select == "kurtosis":
         report = diagnose_kurtosis_baseline(signal, cfg, target_hz=args.target_hz)
     else:
@@ -364,42 +343,23 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     all_indices = sorted(report.selected_indices + report.rejected_indices)
     if all_indices != list(range(1, len(all_indices) + 1)):
         raise InternalCheckFailed("selected/rejected indices do not partition IMFs")
-    payload = {
-        "report": {
-            "method": report.method,
-            "method_variant": report.method_variant,
-            "mi_scores": [dataclasses.asdict(s) for s in report.mi_scores],
-            "selected_indices": list(report.selected_indices),
-            "rejected_indices": list(report.rejected_indices),
-            "combined_signal_digest": report.combined_signal_digest,
-            "defect_frequency_hz": report.defect_frequency_hz,
-            "detection": (
-                None
-                if report.detection is None
-                else {
-                    "found": report.detection.found,
-                    "peak_ratio": report.detection.peak_ratio,
-                    "matched_bins": list(report.detection.matched_bins),
-                }
-            ),
-            "verdict": report.verdict,
-            "spectrum_resolution_hz": report.spectrum.resolution_hz,
-        }
-    }
-    _write_json(os.path.join(args.out, "report.json"), manifest, payload)
+    body = dataclasses.asdict(report)
+    body["spectrum_resolution_hz"] = body.pop("spectrum")["resolution_hz"]
+    _write_json(os.path.join(args.out, "report.json"), manifest, {"report": body})
+    spectrum = report.spectrum
     _write_csv(
         os.path.join(args.out, "spectrum.csv"), manifest,
         ["frequency_hz", "amplitude"],
-        [report.spectrum.frequencies_hz, report.spectrum.amplitudes],
+        zip(spectrum.frequencies_hz.tolist(), spectrum.amplitudes.tolist()),
     )
-    score_lines = [_manifest_line(manifest), "imf_index,mi_nats,k,degenerate,selected"]
-    for s in report.mi_scores:
-        chosen = int(s.imf_index in report.selected_indices)
-        score_lines.append(
-            f"{s.imf_index},{_fmt(s.value_nats)},{s.k},{int(s.degenerate)},{chosen}"
-        )
-    _atomic_write(
-        os.path.join(args.out, "mi_scores.csv"), "\n".join(score_lines) + "\n"
+    _write_csv(
+        os.path.join(args.out, "mi_scores.csv"), manifest,
+        ["imf_index", "mi_nats", "k", "degenerate", "selected"],
+        (
+            (s.imf_index, s.value_nats, s.k, int(s.degenerate),
+             int(s.imf_index in report.selected_indices))
+            for s in report.mi_scores
+        ),
     )
     if report.verdict == VERDICT_INCONCLUSIVE:
         return EXIT_INCONCLUSIVE
@@ -416,73 +376,27 @@ def _parse_grid(spec: str) -> list[float]:
     return values
 
 
-def _ground_truth_components(n: int) -> list[Component]:
-    tone = gen_tone().samples[:n]
-    impulses = gen_impulses().samples[:n]
-    return [
-        Component("tone", tone),
-        Component("impulses", impulses, impulsive=True),
-    ]
-
-
-def _fixture_signal(args: argparse.Namespace) -> Signal:
-    if args.fixture == "combined":
-        return gen_combined()
-    if args.fixture == "combined-noisy":
-        _require_seed(args, "for the noisy fixture")
-        snr = args.snr_db if args.snr_db is not None else -30.0
-        return gen_combined(snr, args.seed)
-    raise GroundTruthUnavailable(
-        "comparison needs a generated fixture with known components"
-    )
-
-
 def cmd_compare(args: argparse.Namespace) -> int:
-    if args.input is not None:
-        raise GroundTruthUnavailable(
-            "separation scoring is unavailable for external data; use --fixture"
-        )
-    if args.fixture is None:
-        raise ParseError("compare requires --fixture")
-    signal = _fixture_signal(args)
-    components = _ground_truth_components(len(signal))
-    seed = args.seed if args.seed is not None else 0
-
-    rows: list[dict] = []
-
-    def run_one(method: str, hurst: float, ensemble: int) -> dict:
-        sift = SiftConfig(max_imfs=args.max_imfs)
-        cfg = EnsembleConfig(
-            method=method, ensemble_size=ensemble, noise_scale=args.noise_scale,
-            hurst=hurst, master_seed=seed, sift=sift,
-        )
+    signal = FIXTURES[args.fixture].generate(args)
+    n = len(signal)
+    components = [
+        Component("tone", gen_tone().samples[:n]),
+        Component("impulses", gen_impulses().samples[:n], impulsive=True),
+    ]
+    grid = itertools.product(
+        args.methods or [args.method],
+        _parse_grid(args.hurst_grid) if args.hurst_grid else [args.hurst],
+        [int(p) for p in args.ensemble_grid.split(",")] if args.ensemble_grid else [args.ensemble],
+    )
+    rows = []
+    for method, hurst, ensemble in grid:
+        cfg = _ensemble_config(args, method=method, hurst=hurst, ensemble_size=ensemble)
         imf_set = decompose(signal, cfg)
-        scores = {
-            s.component_name: s for s in separation_scores(imf_set, components)
-        }
-        return {
-            "method": method,
-            "hurst": hurst,
-            "ensemble": ensemble,
-            "n_imfs": imf_set.n_imfs,
-            "tone_corr": scores["tone"].correlation,
-            "tone_leakage": scores["tone"].leakage,
-            "impulse_env_corr": scores["impulses"].correlation,
-            "impulse_leakage": scores["impulses"].leakage,
-        }
-
-    if args.hurst_grid:
-        method = args.methods[0] if args.methods else "npceemd"
-        for h in _parse_grid(args.hurst_grid):
-            rows.append(run_one(method, h, args.ensemble))
-    elif args.ensemble_grid:
-        method = args.methods[0] if args.methods else args.method
-        for ne in (int(p) for p in args.ensemble_grid.split(",")):
-            rows.append(run_one(method, args.hurst, ne))
-    else:
-        methods = args.methods if args.methods else [args.method]
-        for method in methods:
-            rows.append(run_one(method, args.hurst, args.ensemble))
+        tone, impulses = separation_scores(imf_set, components)
+        rows.append((
+            method, hurst, ensemble, imf_set.n_imfs,
+            tone.correlation, tone.leakage, impulses.correlation, impulses.leakage,
+        ))
 
     params = {
         "fixture": args.fixture,
@@ -492,25 +406,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
         "snr_db": args.snr_db,
     }
     manifest = _manifest(args, params, _digest_params(params))
-    header = list(rows[0].keys())
-    lines = [_manifest_line(manifest), ",".join(header)]
-    for row in rows:
-        lines.append(
-            ",".join(
-                _fmt(row[c]) if isinstance(row[c], float) else str(row[c])
-                for c in header
-            )
-        )
-    _atomic_write(os.path.join(args.out, "compare.csv"), "\n".join(lines) + "\n")
+    _write_csv(os.path.join(args.out, "compare.csv"), manifest, COMPARE_COLUMNS, rows)
 
-    widths = {
-        c: max(len(c), max(len(_cell(row[c])) for row in rows)) for c in header
-    }
-    text_lines = [_manifest_line(manifest)]
-    text_lines.append("  ".join(c.ljust(widths[c]) for c in header))
-    for row in rows:
-        text_lines.append("  ".join(_cell(row[c]).ljust(widths[c]) for c in header))
-    _atomic_write(os.path.join(args.out, "compare.txt"), "\n".join(text_lines) + "\n")
+    cells = [COMPARE_COLUMNS] + [[_cell(v) for v in row] for row in rows]
+    widths = [max(len(c) for c in column) for column in zip(*cells)]
+    text = ["  ".join(c.ljust(w) for c, w in zip(line, widths)) for line in cells]
+    _atomic_write(os.path.join(args.out, "compare.txt"), [_manifest_line(manifest), *text])
     return EXIT_OK
 
 
@@ -525,27 +426,32 @@ def build_parser() -> argparse.ArgumentParser:
         prog="npceemd",
         description="Ensemble decomposition and envelope-spectrum diagnosis",
     )
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--seed", type=int, default=None, help="64-bit RNG seed")
-    shared.add_argument("--sample-rate", type=float, default=None,
-                        help="sample rate in Hz for single-column CSV input")
-    shared.add_argument("--method", choices=METHODS, default="npceemd")
-    shared.add_argument("--ensemble", type=int, default=10,
-                        help="ensemble size Ne (pairs for ceemd/npceemd)")
-    shared.add_argument("--hurst", type=float, default=0.1)
-    shared.add_argument("--noise-scale", type=float, default=0.2)
-    shared.add_argument("--mi-threshold", type=float, default=0.1)
-    shared.add_argument("--k", type=int, default=3, help="MI neighbour count")
-    shared.add_argument("--select", choices=("mi", "kurtosis"), default="mi")
-    shared.add_argument("--target-hz", type=float, default=None)
-    shared.add_argument("--max-imfs", type=int, default=None)
-    shared.add_argument("--out", default=".", help="output directory")
+    # Option groups; each subcommand takes only the groups it reads.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--seed", type=int, default=None, help="64-bit RNG seed")
+    common.add_argument("--out", default=".", help="output directory")
+    rate = argparse.ArgumentParser(add_help=False)
+    rate.add_argument("--sample-rate", type=float, default=None,
+                      help="sample rate in Hz for single-column CSV input")
+    ensemble = argparse.ArgumentParser(add_help=False)
+    ensemble.add_argument("--method", choices=METHODS, default="npceemd")
+    ensemble.add_argument("--ensemble", type=int, default=10,
+                          help="ensemble size Ne (pairs for ceemd/npceemd)")
+    ensemble.add_argument("--hurst", type=float, default=0.1)
+    ensemble.add_argument("--noise-scale", type=float, default=0.2)
+    ensemble.add_argument("--max-imfs", type=int, default=None)
+    selection = argparse.ArgumentParser(add_help=False)
+    selection.add_argument("--mi-threshold", type=float, default=0.1)
+    selection.add_argument("--k", type=int, default=3, help="MI neighbour count")
+    selection.add_argument("--select", choices=("mi", "kurtosis"), default="mi")
+    selection.add_argument("--target-hz", type=float, default=None)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sim = sub.add_parser("simulate", parents=[shared],
+    p_sim = sub.add_parser("simulate", parents=[common, rate],
                            help="write a benchmark fixture as CSV")
-    p_sim.add_argument("fixture", choices=FIXTURES)
+    p_sim.set_defaults(handler=cmd_simulate)
+    p_sim.add_argument("fixture", choices=tuple(FIXTURES))
     p_sim.add_argument("--snr-db", type=float, default=None)
     p_sim.add_argument("--severity", type=float, default=1.0)
     p_sim.add_argument("--specimens", type=int, default=500)
@@ -558,22 +464,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--jitter-frac", type=float, default=0.02)
     p_sim.add_argument("--noise-sigma", type=float, default=8.0)
 
-    p_dec = sub.add_parser("decompose", parents=[shared],
+    p_dec = sub.add_parser("decompose", parents=[common, rate, ensemble],
                            help="decompose a CSV record into IMFs")
+    p_dec.set_defaults(handler=cmd_decompose)
     p_dec.add_argument("input")
     p_dec.add_argument("--verify", action="store_true",
                        help="report the reconstruction error and enforce "
                             "the per-method bound")
 
-    p_dia = sub.add_parser("diagnose", parents=[shared],
+    p_dia = sub.add_parser("diagnose", parents=[common, rate, ensemble, selection],
                            help="run the full selection + envelope pipeline")
+    p_dia.set_defaults(handler=cmd_diagnose)
     p_dia.add_argument("input")
 
-    p_cmp = sub.add_parser("compare", parents=[shared],
+    p_cmp = sub.add_parser("compare", parents=[common, ensemble],
                            help="separation-score table across methods or grids")
-    p_cmp.add_argument("--input", default=None)
-    p_cmp.add_argument("--fixture", choices=("combined", "combined-noisy"),
-                       default=None)
+    p_cmp.set_defaults(handler=cmd_compare)
+    p_cmp.add_argument("--fixture", choices=("combined", "combined-noisy"), required=True)
     p_cmp.add_argument("--methods", type=lambda s: s.split(","), default=None)
     p_cmp.add_argument("--hurst-grid", default=None,
                        help="lo:hi:step sweep of the Hurst exponent")
@@ -590,17 +497,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    handlers = {
-        "simulate": cmd_simulate,
-        "decompose": cmd_decompose,
-        "diagnose": cmd_diagnose,
-        "compare": cmd_compare,
-    }
     try:
-        return handlers[args.command](args)
-    except (ParseError, UnknownFixture, GroundTruthUnavailable) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return args.handler(args)
     except FileNotFoundError as exc:
         print(f"error: no such file: {exc.filename}", file=sys.stderr)
         return EXIT_USAGE

@@ -175,19 +175,25 @@ def emd(s: Signal, cfg: SiftConfig | None = None) -> ImfSet:
     imfs: list[np.ndarray] = []
     residue = x.copy()
     while len(imfs) < limit:
-        if float(np.max(np.abs(residue))) <= negligible:
+        peak = float(np.max(np.abs(residue)))
+        if peak <= negligible:
             break
         max_i, _, min_i, _ = find_extrema(residue)
         if max_i.size < 1 or min_i.size < 1 or max_i.size + min_i.size < 3:
             break
+        # The Cauchy sums are taken on values scaled by 2**-e, so they cannot
+        # overflow at extreme amplitudes. A power-of-two scale is exact, so
+        # the ratio keeps its bits wherever the unscaled sums stayed finite.
+        e = math.frexp(peak)[1]
         h = residue
         for _ in range(cfg.max_sift_iterations):
             try:
                 h_new = sift_once(h)
             except TooFewExtrema:
                 break
-            diff = h - h_new
-            denom = float(np.dot(h, h))
+            scaled = np.ldexp(h, -e)
+            diff = np.ldexp(h - h_new, -e)
+            denom = float(np.dot(scaled, scaled))
             h = h_new
             if denom == 0.0:
                 break

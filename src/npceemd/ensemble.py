@@ -76,37 +76,33 @@ def _aligned_mean(trials: list[ImfSet]) -> tuple[list[np.ndarray], np.ndarray]:
     return [s * scale for s in sums], residue * scale
 
 
-def eemd(s: Signal, cfg: EnsembleConfig) -> ImfSet:
-    """Average the decompositions of independently noise-perturbed copies."""
-    _require(cfg, "eemd")
-    x = s.samples
-    scale = cfg.noise_scale * float(np.std(x))
-    trials = []
-    for j in range(cfg.ensemble_size):
-        w = scale * _trial_noise(cfg, x.size, j, fractional=False)
-        trials.append(emd(Signal(x + w, s.sample_rate_hz), cfg.sift))
-    imfs, residue = _aligned_mean(trials)
-    return ImfSet(imfs, residue, x.size, s.sample_rate_hz)
-
-
-def _paired_ensemble(s: Signal, cfg: EnsembleConfig, fractional: bool) -> ImfSet:
-    """Shared CEEMD scheme: decompose signal +/- the same noise realization
-    and average all 2*Ne trials, so the injected noise cancels in the mean."""
+def _noise_ensemble(
+    s: Signal, cfg: EnsembleConfig, fractional: bool, signs: tuple[float, ...]
+) -> ImfSet:
+    """Decompose the signal plus each sign of every trial's noise realization
+    and average all trials; with signs (+1, -1) the injected noise cancels
+    in the mean. Trials run in the order j+, j-."""
     x = s.samples
     scale = cfg.noise_scale * float(np.std(x))
     trials = []
     for j in range(cfg.ensemble_size):
         w = scale * _trial_noise(cfg, x.size, j, fractional=fractional)
-        trials.append(emd(Signal(x + w, s.sample_rate_hz), cfg.sift))
-        trials.append(emd(Signal(x - w, s.sample_rate_hz), cfg.sift))
+        for sign in signs:
+            trials.append(emd(Signal(x + sign * w, s.sample_rate_hz), cfg.sift))
     imfs, residue = _aligned_mean(trials)
     return ImfSet(imfs, residue, x.size, s.sample_rate_hz)
+
+
+def eemd(s: Signal, cfg: EnsembleConfig) -> ImfSet:
+    """Average the decompositions of independently noise-perturbed copies."""
+    _require(cfg, "eemd")
+    return _noise_ensemble(s, cfg, fractional=False, signs=(1.0,))
 
 
 def ceemd(s: Signal, cfg: EnsembleConfig) -> ImfSet:
     """Complementary ensemble: plus/minus white-noise pairs."""
     _require(cfg, "ceemd")
-    return _paired_ensemble(s, cfg, fractional=False)
+    return _noise_ensemble(s, cfg, fractional=False, signs=(1.0, -1.0))
 
 
 def npceemd(s: Signal, cfg: EnsembleConfig) -> ImfSet:
@@ -118,7 +114,7 @@ def npceemd(s: Signal, cfg: EnsembleConfig) -> ImfSet:
     they are not tuned per signal.
     """
     _require(cfg, "npceemd")
-    return _paired_ensemble(s, cfg, fractional=True)
+    return _noise_ensemble(s, cfg, fractional=True, signs=(1.0, -1.0))
 
 
 def ceemdan(s: Signal, cfg: EnsembleConfig) -> ImfSet:

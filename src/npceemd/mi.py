@@ -198,10 +198,9 @@ def score_imfs(raw: Signal, imf_set: ImfSet, k: int = 3) -> list[MiScore]:
 def select_by_mi(scores: list[MiScore], threshold: float = 0.1) -> list[int]:
     """Indices of IMFs whose MI exceeds the threshold, ascending.
 
-    An empty selection is a valid outcome and is reported upstream.
+    An empty selection is a valid outcome and is reported upstream; so is
+    an empty score list, which a decomposition with no IMFs produces.
     """
-    if not scores:
-        raise ValueError("scores must be nonempty")
     return [s.imf_index for s in scores if s.value_nats > threshold]
 
 

@@ -249,3 +249,69 @@ def test_diagnose_inconclusive_exit_code(tmp_path, tone_csv):
     assert code == EXIT_INCONCLUSIVE
     report = json.loads((out / "report.json").read_text())
     assert report["report"]["verdict"] == "INCONCLUSIVE_EMPTY_SELECTION"
+
+
+@pytest.mark.parametrize(
+    "variant",
+    [["--method", "emd"], ["--method", "npceemd", "--seed", "0"],
+     ["--method", "emd", "--select", "kurtosis"]],
+    ids=["emd", "npceemd", "kurtosis"],
+)
+def test_diagnose_constant_record_is_inconclusive(tmp_path, variant):
+    # A constant decomposes into zero IMFs; the empty selection is the
+    # documented inconclusive outcome, not an input error.
+    path = tmp_path / "flat.csv"
+    write_signal(path, np.ones(5000), fs=10000.0)
+    out = tmp_path / "diag"
+    assert run("diagnose", str(path), *variant, "--out", str(out)) == EXIT_INCONCLUSIVE
+    assert sorted(os.listdir(out)) == ["mi_scores.csv", "report.json", "spectrum.csv"]
+    report = json.loads((out / "report.json").read_text())["report"]
+    assert report["verdict"] == "INCONCLUSIVE_EMPTY_SELECTION"
+    assert report["selected_indices"] == [] and report["rejected_indices"] == []
+    assert len(read_lines(out / "mi_scores.csv")) == 2  # manifest + header
+
+
+# Options each subcommand does not read; argparse must reject them.
+REMOVED_FLAGS = {
+    "simulate": [
+        ("--method", "emd"), ("--ensemble", "2"), ("--hurst", "0.2"),
+        ("--noise-scale", "0.2"), ("--mi-threshold", "0.1"), ("--k", "3"),
+        ("--select", "mi"), ("--target-hz", "50"), ("--max-imfs", "3"),
+    ],
+    "decompose": [
+        ("--mi-threshold", "0.1"), ("--k", "3"), ("--select", "mi"),
+        ("--target-hz", "50"),
+    ],
+    "compare": [
+        ("--sample-rate", "100"), ("--mi-threshold", "0.1"), ("--k", "3"),
+        ("--select", "mi"), ("--target-hz", "50"), ("--input", "x.csv"),
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "command,flag,value",
+    [(c, f, v) for c, flags in REMOVED_FLAGS.items() for f, v in flags],
+)
+def test_subcommand_rejects_flags_it_does_not_read(tmp_path, tone_csv, command, flag, value):
+    base = {
+        "simulate": ["simulate", "tone"],
+        "decompose": ["decompose", tone_csv, "--method", "emd"],
+        "compare": ["compare", "--fixture", "combined", "--method", "emd",
+                    "--max-imfs", "1"],
+    }[command]
+    assert run(*base, "--out", str(tmp_path / "ok")) == EXIT_OK
+    assert run(*base, flag, value, "--out", str(tmp_path / "bad")) == EXIT_USAGE
+    assert not (tmp_path / "bad").exists()
+
+
+def test_compare_combined_honours_snr(tmp_path):
+    argv = ["--snr-db", "0", "--seed", "1", "--method", "emd", "--max-imfs", "3"]
+    for fixture in ("combined", "combined-noisy"):
+        assert run("compare", "--fixture", fixture, *argv,
+                   "--out", str(tmp_path / fixture)) == EXIT_OK
+    noisy = read_lines(tmp_path / "combined-noisy" / "compare.csv")
+    assert read_lines(tmp_path / "combined" / "compare.csv")[1:] == noisy[1:]
+    assert run("compare", "--fixture", "clean", "--out", str(tmp_path)) == EXIT_USAGE
+    assert run("compare", "--fixture", "combined", "--snr-db", "0",
+               "--out", str(tmp_path / "unseeded")) == EXIT_USAGE

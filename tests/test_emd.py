@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,22 @@ def test_emd_deterministic():
     for x, y in zip(a.imfs, b.imfs):
         assert np.array_equal(x, y)
     assert np.array_equal(a.residue, b.residue)
+
+
+def test_emd_extreme_amplitude_scales_exactly():
+    # At 2**600 (about 4e180) the Cauchy sums of squares would overflow;
+    # the decomposition must still be an exact power-of-two copy.
+    k = np.arange(4096)
+    x = np.sin(0.05 * k) + 0.3 * np.sin(0.7 * k)
+    scale = 2.0 ** 600
+    base = emd(Signal(x, 100.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        big = emd(Signal(scale * x, 100.0))
+    assert big.n_imfs == base.n_imfs
+    for a, b in zip(base.imfs, big.imfs):
+        assert np.array_equal(scale * a, b)
+    assert np.array_equal(scale * base.residue, big.residue)
 
 
 def test_emd_respects_max_imfs():
