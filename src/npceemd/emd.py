@@ -77,17 +77,23 @@ def find_extrema(
     x = np.asarray(samples, dtype=np.float64)
     if x.size < 4:
         raise ValueError("need at least 4 samples")
-    # Compress runs of equal neighbours so plateaus become single candidates.
-    step = np.nonzero(np.diff(x) != 0.0)[0]
-    starts = np.concatenate(([0], step + 1))
-    ends = np.concatenate((step, [x.size - 1]))
-    vals = x[starts]
-    if vals.size < 3:
-        empty_i = np.array([], dtype=np.int64)
-        empty_v = np.array([], dtype=np.float64)
-        return empty_i, empty_v, empty_i.copy(), empty_v.copy()
+    changes = np.diff(x) != 0.0
+    if changes.all():
+        # No plateaus: every interior sample is a candidate.
+        vals = x
+        mid_idx = np.arange(1, x.size - 1, dtype=np.int64)
+    else:
+        # Compress runs of equal neighbours so plateaus become single candidates.
+        step = np.flatnonzero(changes)
+        starts = np.concatenate(([0], step + 1))
+        ends = np.concatenate((step, [x.size - 1]))
+        vals = x[starts]
+        if vals.size < 3:
+            empty_i = np.array([], dtype=np.int64)
+            empty_v = np.array([], dtype=np.float64)
+            return empty_i, empty_v, empty_i.copy(), empty_v.copy()
+        mid_idx = (starts[1:-1] + ends[1:-1]) // 2
     left, mid, right = vals[:-2], vals[1:-1], vals[2:]
-    mid_idx = (starts[1:-1] + ends[1:-1]) // 2
     is_max = (mid > left) & (mid > right)
     is_min = (mid < left) & (mid < right)
     return mid_idx[is_max], mid[is_max], mid_idx[is_min], mid[is_min]
@@ -103,24 +109,20 @@ def _mirror_extend(
     never extrapolates.
     """
     last = n - 1
-    lefts: list[tuple[int, float]] = []
-    rights: list[tuple[int, float]] = []
+    pos_parts, mag_parts = [idx], [val]
     if idx.size and idx[0] > 0:
-        lefts = [(-int(i), float(v)) for i, v in zip(idx[:2], val[:2])]
+        pos_parts.insert(0, -idx[:2])
+        mag_parts.insert(0, val[:2])
     if idx.size and idx[-1] < last:
-        rights = [
-            (2 * last - int(i), float(v)) for i, v in zip(idx[-2:], val[-2:])
-        ]
-    lefts.sort()
-    rights.sort()
-    pos = np.array(
-        [p for p, _ in lefts] + [int(i) for i in idx] + [p for p, _ in rights],
-        dtype=np.float64,
-    )
-    mag = np.array(
-        [v for _, v in lefts] + [float(v) for v in val] + [v for _, v in rights],
-        dtype=np.float64,
-    )
+        pos_parts.append(2 * last - idx[-2:])
+        mag_parts.append(val[-2:])
+    # Each reflected pair is ordered by position, then by value.
+    for k in (0, -1):
+        if pos_parts[k] is not idx:
+            order = np.lexsort((mag_parts[k], pos_parts[k]))
+            pos_parts[k], mag_parts[k] = pos_parts[k][order], mag_parts[k][order]
+    pos = np.concatenate(pos_parts).astype(np.float64)
+    mag = np.concatenate(mag_parts)
     if pos.size > 1:
         keep = np.concatenate(([True], np.diff(pos) > 0))
         pos, mag = pos[keep], mag[keep]
@@ -153,6 +155,13 @@ def sift_once(h: np.ndarray) -> np.ndarray:
     upper = spline_envelope(max_i, max_v, x.size)
     lower = spline_envelope(min_i, min_v, x.size)
     return x - 0.5 * (upper + lower)
+
+
+def _sum_squares(v: np.ndarray) -> float:
+    """Sum of squares on the calling thread. np.dot would pass long 1-D
+    arrays to a multithreaded BLAS, whose threads stall whenever another
+    process holds a CPU, and whose result depends on its thread count."""
+    return float(np.einsum("i,i->", v, v))
 
 
 def emd(s: Signal, cfg: SiftConfig | None = None) -> ImfSet:
@@ -193,11 +202,11 @@ def emd(s: Signal, cfg: SiftConfig | None = None) -> ImfSet:
                 break
             scaled = np.ldexp(h, -e)
             diff = np.ldexp(h - h_new, -e)
-            denom = float(np.dot(scaled, scaled))
+            denom = _sum_squares(scaled)
             h = h_new
             if denom == 0.0:
                 break
-            if float(np.dot(diff, diff)) / denom < cfg.sd_threshold:
+            if _sum_squares(diff) / denom < cfg.sd_threshold:
                 break
         imfs.append(h)
         residue = residue - h
