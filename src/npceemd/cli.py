@@ -12,6 +12,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import os
 import sys
 import tempfile
@@ -368,6 +369,8 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
 
 def _parse_grid(spec: str) -> list[float]:
     lo, hi, step = (float(p) for p in spec.split(":"))
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi and step > 0):
+        raise ParseError(f"grid {spec!r}: need finite lo <= hi and step > 0")
     values = []
     v = lo
     while v <= hi + 1e-12:

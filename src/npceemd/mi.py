@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.special
 from scipy.spatial import cKDTree
 
 from .emd import ImfSet
@@ -35,42 +36,18 @@ MAX_MI_SAMPLES = 20000
 # Fixed salt so the tie-breaking jitter is reproducible run to run.
 _JITTER_SALT = 0x9E3779B9
 
-# Shift arguments up to here before applying the asymptotic series; the
-# first dropped term is below 1e-12 at 8.
-_PSI_SHIFT = 8.0
-
 
 def digamma(x: "float | np.ndarray") -> "float | np.ndarray":
-    """Digamma via recurrence shift into the asymptotic regime.
+    """Digamma of positive finite arguments, by ``scipy.special.digamma``.
 
-    Accepts scalars or arrays; absolute error is below 1e-12 for
-    arguments >= 1. Raises DomainError for non-positive input.
+    Returns a float for a scalar and an array of the input's shape
+    otherwise. Raises DomainError for non-positive or non-finite input.
     """
     arr = np.asarray(x, dtype=np.float64)
-    if arr.size == 0:
-        return arr.copy()
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
         raise DomainError("digamma requires positive finite arguments")
-    scalar = arr.ndim == 0
-    work = np.atleast_1d(arr).astype(np.float64).copy()
-    acc = np.zeros_like(work)
-    for _ in range(int(_PSI_SHIFT)):
-        small = work < _PSI_SHIFT
-        if not small.any():
-            break
-        acc[small] -= 1.0 / work[small]
-        work[small] += 1.0
-    inv = 1.0 / work
-    y = inv * inv
-    # Bernoulli tail B_2n/(2n x^2n) through x^-10.
-    tail = y * (
-        1.0 / 12.0
-        - y * (1.0 / 120.0 - y * (1.0 / 252.0 - y * (1.0 / 240.0 - y / 132.0)))
-    )
-    psi = acc + np.log(work) - 0.5 * inv - tail
-    if scalar:
-        return float(psi[0])
-    return psi.reshape(arr.shape)
+    psi = scipy.special.digamma(arr)
+    return float(psi) if arr.ndim == 0 else psi
 
 
 def _break_ties(a: np.ndarray, stream: int) -> np.ndarray:
@@ -94,32 +71,35 @@ def _strict_marginal_counts(a: np.ndarray, eps: np.ndarray) -> np.ndarray:
 
     Counting |a_j - a_i| < eps_i through interval endpoints (a_i +- eps_i)
     miscounts points exactly at distance eps_i, because the endpoint
-    addition rounds. A vectorized binary search over the sorted unique
-    values evaluates the same float predicate a brute-force oracle would,
-    so the counts agree with it bit for bit.
+    addition rounds. The endpoints only bracket each edge here: a short
+    walk over the sorted unique values then settles it on the same float
+    predicate a brute-force oracle evaluates, so the counts agree with it
+    bit for bit.
     """
     uniq, multiplicity = np.unique(a, return_counts=True)
     cumulative = np.concatenate(([0], np.cumsum(multiplicity)))
-    m = uniq.size
-    n = a.size
 
-    def lower_bound(predicate) -> np.ndarray:
-        lo = np.zeros(n, dtype=np.int64)
-        hi = np.full(n, m, dtype=np.int64)
-        while True:
-            open_ = lo < hi
-            if not open_.any():
-                return lo
-            mid = (lo + hi) // 2
-            hit = np.zeros(n, dtype=bool)
-            hit[open_] = predicate(uniq[mid[open_]], open_)
-            hi = np.where(open_ & hit, mid, hi)
-            lo = np.where(open_ & ~hit, mid + 1, lo)
+    def first_hit(edge: np.ndarray, predicate) -> np.ndarray:
+        # From each bracket, step to the first unique value that satisfies
+        # the monotone predicate.
+        down = np.flatnonzero(edge > 0)
+        while down.size:
+            down = down[predicate(uniq[edge[down] - 1], down)]
+            edge[down] -= 1
+            down = down[edge[down] > 0]
+        up = np.flatnonzero(edge < uniq.size)
+        while up.size:
+            up = up[~predicate(uniq[edge[up]], up)]
+            edge[up] += 1
+            up = up[edge[up] < uniq.size]
+        return edge
 
     # first unique value v with (v - a_i) >= eps_i, i.e. at/after the right edge
-    right = lower_bound(lambda v, sel: (v - a[sel]) >= eps[sel])
+    right = first_hit(np.searchsorted(uniq, a + eps), lambda v, i: (v - a[i]) >= eps[i])
     # first unique value v with (a_i - v) < eps_i, i.e. the left edge itself
-    left = lower_bound(lambda v, sel: (a[sel] - v) < eps[sel])
+    left = first_hit(
+        np.searchsorted(uniq, a - eps, side="right"), lambda v, i: (a[i] - v) < eps[i]
+    )
     counts = (cumulative[right] - cumulative[left]).astype(np.float64)
     counts -= 1.0  # the point itself sits strictly inside when eps > 0
     counts[eps == 0.0] = 0.0

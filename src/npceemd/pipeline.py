@@ -13,6 +13,7 @@ from .ensemble import EnsembleConfig, decompose
 from .mi import AllDegenerate, MiScore, score_imfs, select_by_kurtosis, select_by_mi
 from .signals import Signal
 from .spectral import (
+    MIN_ENVELOPE_SAMPLES,
     EnvelopeSpectrum,
     PeakDetection,
     analytic_envelope,
@@ -67,6 +68,15 @@ def _pearson(a: np.ndarray, b: np.ndarray) -> float:
     if denom == 0.0:
         return 0.0
     return float(np.dot(da, db) / denom)
+
+
+def _checked_decompose(raw: Signal, cfg: EnsembleConfig) -> ImfSet:
+    """Decompose a record long enough for the envelope spectrum at the end."""
+    if len(raw) < MIN_ENVELOPE_SAMPLES:
+        raise ValueError(
+            f"need at least {MIN_ENVELOPE_SAMPLES} samples, got {len(raw)}"
+        )
+    return decompose(raw, cfg)
 
 
 def _combine(imf_set: ImfSet, selected: Sequence[int]) -> np.ndarray:
@@ -134,8 +144,10 @@ def diagnose(
     the peak test there; without one it reflects whether any non-DC bin
     clears the peak ratio. An empty selection yields the distinct
     inconclusive verdict rather than falling back to another selector.
+    A record shorter than MIN_ENVELOPE_SAMPLES raises ValueError before
+    it is decomposed.
     """
-    imf_set = decompose(raw, cfg)
+    imf_set = _checked_decompose(raw, cfg)
     scores = tuple(score_imfs(raw, imf_set, k))
     selected = select_by_mi(list(scores), mi_threshold)
     return _build_report(
@@ -152,7 +164,7 @@ def diagnose_kurtosis_baseline(
     peak_ratio_threshold: float = 5.0,
 ) -> DiagnosisReport:
     """Baseline selector: keep only the single maximum-kurtosis IMF."""
-    imf_set = decompose(raw, cfg)
+    imf_set = _checked_decompose(raw, cfg)
     try:
         selected = [select_by_kurtosis(imf_set)]
     except AllDegenerate:

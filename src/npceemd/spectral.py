@@ -11,6 +11,10 @@ from scipy.signal import hilbert
 from .signals import Signal, _as_array
 
 
+# Shortest record whose analytic envelope is taken; a diagnosis needs one.
+MIN_ENVELOPE_SAMPLES = 8
+
+
 class TargetAboveNyquist(ValueError):
     """Requested defect frequency is not below the Nyquist frequency."""
 
@@ -53,8 +57,8 @@ def analytic_envelope(s: "Signal | np.ndarray") -> np.ndarray:
     away from the ends.
     """
     x = _as_array(s)
-    if x.size < 8:
-        raise ValueError("need at least 8 samples")
+    if x.size < MIN_ENVELOPE_SAMPLES:
+        raise ValueError(f"need at least {MIN_ENVELOPE_SAMPLES} samples")
     return np.abs(hilbert(x))
 
 

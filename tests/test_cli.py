@@ -224,6 +224,18 @@ class TestCompare:
         lines = read_lines(out / "compare.csv")
         assert len(lines) == 2 + 3  # manifest + header + one row per H
 
+    @pytest.mark.parametrize(
+        "grid", ["0.1:0.5:0", "0.1:0.5:-0.1", "0.5:0.1:0.1", "0.1:inf:0.1"],
+        ids=["zero-step", "negative-step", "lo-above-hi", "infinite-hi"],
+    )
+    def test_hurst_grid_must_ascend(self, tmp_path, grid):
+        # a step <= 0 never reaches hi, and lo > hi would give an empty table
+        out = tmp_path / "grid"
+        code = run("compare", "--fixture", "combined", "--methods", "emd",
+                   "--hurst-grid", grid, "--max-imfs", "1", "--out", str(out))
+        assert code == EXIT_USAGE
+        assert not (out / "compare.csv").exists()
+
     def test_ensemble_grid_rows(self, tmp_path):
         out = tmp_path / "grid"
         code = run("compare", "--fixture", "combined", "--methods", "eemd",

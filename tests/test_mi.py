@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.special
+from scipy.spatial import cKDTree
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +21,8 @@ from npceemd.mi import (
     DomainError,
     MiScore,
     TooFewSamples,
+    _break_ties,
+    _strict_marginal_counts,
 )
 
 
@@ -121,6 +124,33 @@ class TestKnnMutualInformation:
             for _ in range(40)
         ]
         assert min(values) < 0.0  # independence estimates straddle zero
+
+
+def marginal_axis(kind: str, n: int, rng) -> np.ndarray:
+    if kind == "ties":
+        return rng.integers(0, 6, n).astype(float)
+    if kind == "offset":
+        # at a 1e8 offset the tie-breaking jitter (1e-10 of the span) rounds away
+        return _break_ties(1e8 + rng.integers(0, 4, n), 0)
+    # mixed magnitudes from 1e-200 to 1e200, both signs
+    return rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-200.0, 200.0, n)
+
+
+@pytest.mark.parametrize("kind,seed", [("ties", 71), ("offset", 72), ("mixed", 73)])
+def test_strict_marginal_counts_match_pairwise(kind, seed):
+    # the counts must equal the O(N^2) strict count |a_j - a_i| < eps_i,
+    # with eps from the same k=3 Chebyshev query the estimator makes
+    rng = np.random.default_rng(seed)
+    for _ in range(40):
+        n = int(rng.integers(20, 300))
+        a = marginal_axis(kind, n, rng)
+        b = marginal_axis(kind, n, rng)
+        points = np.column_stack((a, b))
+        eps = cKDTree(points).query(points, k=4, p=np.inf)[0][:, 3]
+        for axis in (a, b):
+            brute = (np.abs(axis[None, :] - axis[:, None]) < eps[:, None]).sum(axis=1) - 1.0
+            brute[eps == 0.0] = 0.0
+            np.testing.assert_array_equal(_strict_marginal_counts(axis, eps), brute)
 
 
 def small_imf_set(arrays, fs=1000.0):

@@ -11,6 +11,7 @@ from npceemd import (
     diagnose_kurtosis_baseline,
     separation_scores,
 )
+from npceemd import pipeline
 from npceemd.emd import ImfSet
 from npceemd.pipeline import (
     VERDICT_DEFECT,
@@ -95,6 +96,27 @@ class TestKurtosisBaseline:
         cfg = EnsembleConfig(method="emd")
         report = diagnose_kurtosis_baseline(s, cfg, target_hz=10.0)
         assert report.verdict == VERDICT_INCONCLUSIVE
+
+
+@pytest.mark.parametrize("method", ["emd", "ceemdan"])
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+@pytest.mark.parametrize("entry", [diagnose, diagnose_kurtosis_baseline])
+def test_short_record_rejected_before_decomposing(monkeypatch, entry, n, method):
+    # the envelope spectrum needs 8 samples; a shorter record must fail at
+    # the edge, not after a full decomposition
+    calls = []
+    real = pipeline.decompose
+
+    def counting_decompose(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "decompose", counting_decompose)
+    s = Signal(np.sin(np.arange(n, dtype=float)), 1000.0)
+    cfg = EnsembleConfig(method=method, ensemble_size=2, master_seed=0)
+    with pytest.raises(ValueError, match="at least 8 samples"):
+        entry(s, cfg)
+    assert calls == []
 
 
 class TestSeparationScores:
