@@ -48,6 +48,8 @@ EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_INTERNAL = 4
 
+MAX_GRID_POINTS = 1000
+
 COMPARE_COLUMNS = (
     "method", "hurst", "ensemble", "n_imfs",
     "tone_corr", "tone_leakage", "impulse_env_corr", "impulse_leakage",
@@ -374,6 +376,10 @@ def _parse_grid(spec: str) -> list[float]:
     values = []
     v = lo
     while v <= hi + 1e-12:
+        # A step below half an ulp of v never moves it, so the count is
+        # bounded here rather than estimated from (hi - lo) / step.
+        if len(values) == MAX_GRID_POINTS:
+            raise ParseError(f"grid {spec!r}: more than {MAX_GRID_POINTS} points")
         values.append(round(v, 12))
         v += step
     return values

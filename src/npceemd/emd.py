@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
+from scipy.signal import find_peaks
 
 from .signals import Signal
 
@@ -36,6 +37,10 @@ class SiftConfig:
             raise ValueError("sd_threshold must be positive")
         if self.max_imfs is not None and self.max_imfs < 1:
             raise ValueError("max_imfs must be >= 1 when given")
+
+    def mode_cap(self, n: int) -> int:
+        """Most modes taken from n samples: max_imfs, else floor(log2(n))."""
+        return self.max_imfs or max(1, math.floor(math.log2(n)))
 
 
 @dataclass(eq=False)
@@ -77,26 +82,9 @@ def find_extrema(
     x = np.asarray(samples, dtype=np.float64)
     if x.size < 4:
         raise ValueError("need at least 4 samples")
-    changes = np.diff(x) != 0.0
-    if changes.all():
-        # No plateaus: every interior sample is a candidate.
-        vals = x
-        mid_idx = np.arange(1, x.size - 1, dtype=np.int64)
-    else:
-        # Compress runs of equal neighbours so plateaus become single candidates.
-        step = np.flatnonzero(changes)
-        starts = np.concatenate(([0], step + 1))
-        ends = np.concatenate((step, [x.size - 1]))
-        vals = x[starts]
-        if vals.size < 3:
-            empty_i = np.array([], dtype=np.int64)
-            empty_v = np.array([], dtype=np.float64)
-            return empty_i, empty_v, empty_i.copy(), empty_v.copy()
-        mid_idx = (starts[1:-1] + ends[1:-1]) // 2
-    left, mid, right = vals[:-2], vals[1:-1], vals[2:]
-    is_max = (mid > left) & (mid > right)
-    is_min = (mid < left) & (mid < right)
-    return mid_idx[is_max], mid[is_max], mid_idx[is_min], mid[is_min]
+    max_i = find_peaks(x)[0]
+    min_i = find_peaks(-x)[0]
+    return max_i, x[max_i], min_i, x[min_i]
 
 
 def _mirror_extend(
@@ -109,24 +97,10 @@ def _mirror_extend(
     never extrapolates.
     """
     last = n - 1
-    pos_parts, mag_parts = [idx], [val]
-    if idx.size and idx[0] > 0:
-        pos_parts.insert(0, -idx[:2])
-        mag_parts.insert(0, val[:2])
-    if idx.size and idx[-1] < last:
-        pos_parts.append(2 * last - idx[-2:])
-        mag_parts.append(val[-2:])
-    # Each reflected pair is ordered by position, then by value.
-    for k in (0, -1):
-        if pos_parts[k] is not idx:
-            order = np.lexsort((mag_parts[k], pos_parts[k]))
-            pos_parts[k], mag_parts[k] = pos_parts[k][order], mag_parts[k][order]
-    pos = np.concatenate(pos_parts).astype(np.float64)
-    mag = np.concatenate(mag_parts)
-    if pos.size > 1:
-        keep = np.concatenate(([True], np.diff(pos) > 0))
-        pos, mag = pos[keep], mag[keep]
-    return pos, mag
+    left = slice(1, None, -1) if idx.size and idx[0] > 0 else slice(0)
+    right = slice(None, -3, -1) if idx.size and idx[-1] < last else slice(0)
+    pos = np.concatenate((-idx[left], idx, 2 * last - idx[right]))
+    return pos.astype(np.float64), np.concatenate((val[left], val, val[right]))
 
 
 def spline_envelope(
@@ -134,11 +108,14 @@ def spline_envelope(
 ) -> np.ndarray:
     """Natural cubic spline through mirror-extended extrema at 0..n-1.
 
-    Raises TooFewExtrema when fewer than two knots remain even after the
-    mirror extension, which signals a monotone residue.
+    ``indices`` must be strictly ascending (ValueError). Raises
+    TooFewExtrema when fewer than two knots remain even after the mirror
+    extension, which signals a monotone residue.
     """
     idx = np.asarray(indices, dtype=np.int64)
     val = np.asarray(values, dtype=np.float64)
+    if np.any(np.diff(idx) <= 0):
+        raise ValueError("envelope indices must be strictly ascending")
     pos, mag = _mirror_extend(idx, val, n)
     if pos.size < 2:
         raise TooFewExtrema(f"{pos.size} envelope knots after extension")
@@ -164,6 +141,13 @@ def _sum_squares(v: np.ndarray) -> float:
     return float(np.einsum("i,i->", v, v))
 
 
+def holds_mode(residue: np.ndarray) -> bool:
+    """Whether another mode can be sifted out: the residue needs a maximum,
+    a minimum and three extrema; below that it is a monotone-like trend."""
+    max_i, _, min_i, _ = find_extrema(residue)
+    return max_i.size >= 1 and min_i.size >= 1 and max_i.size + min_i.size >= 3
+
+
 def emd(s: Signal, cfg: SiftConfig | None = None) -> ImfSet:
     """Decompose a signal into IMFs plus a residue by iterated sifting.
 
@@ -175,9 +159,7 @@ def emd(s: Signal, cfg: SiftConfig | None = None) -> ImfSet:
     """
     cfg = cfg or SiftConfig()
     x = s.samples
-    limit = cfg.max_imfs
-    if limit is None:
-        limit = max(1, int(math.floor(math.log2(x.size))))
+    limit = cfg.mode_cap(x.size)
     # Below this the residue is float round-off, not structure; without the
     # guard a fully-extracted signal keeps yielding junk micro-IMFs.
     negligible = 1e-12 * float(np.max(np.abs(x)))
@@ -185,10 +167,7 @@ def emd(s: Signal, cfg: SiftConfig | None = None) -> ImfSet:
     residue = x.copy()
     while len(imfs) < limit:
         peak = float(np.max(np.abs(residue)))
-        if peak <= negligible:
-            break
-        max_i, _, min_i, _ = find_extrema(residue)
-        if max_i.size < 1 or min_i.size < 1 or max_i.size + min_i.size < 3:
+        if peak <= negligible or not holds_mode(residue):
             break
         # The Cauchy sums are taken on values scaled by 2**-e, so they cannot
         # overflow at extreme amplitudes. A power-of-two scale is exact, so

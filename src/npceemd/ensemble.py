@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .emd import ImfSet, SiftConfig, emd, find_extrema
+from .emd import ImfSet, SiftConfig, emd, holds_mode
 from .noise import FgnParams, generate_fgn, generate_white
 from .signals import Signal
 
@@ -129,9 +128,7 @@ def ceemdan(s: Signal, cfg: EnsembleConfig) -> ImfSet:
     _require(cfg, "ceemdan")
     x = s.samples
     n = x.size
-    limit = cfg.sift.max_imfs
-    if limit is None:
-        limit = max(1, int(math.floor(math.log2(n))))
+    limit = cfg.sift.mode_cap(n)
     noise_modes = []
     for j in range(cfg.ensemble_size):
         w = _trial_noise(cfg, n, j, fractional=False)
@@ -140,8 +137,7 @@ def ceemdan(s: Signal, cfg: EnsembleConfig) -> ImfSet:
     imfs: list[np.ndarray] = []
     residue = x.copy()
     while len(imfs) < limit:
-        max_i, _, min_i, _ = find_extrema(residue)
-        if max_i.size < 1 or min_i.size < 1 or max_i.size + min_i.size < 3:
+        if not holds_mode(residue):
             break
         eps = cfg.noise_scale * float(np.std(residue))
         stage = np.zeros(n)

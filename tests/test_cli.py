@@ -8,6 +8,9 @@ from npceemd.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_OK,
     EXIT_USAGE,
+    MAX_GRID_POINTS,
+    ParseError,
+    _parse_grid,
     main,
     read_signal_csv,
 )
@@ -225,16 +228,30 @@ class TestCompare:
         assert len(lines) == 2 + 3  # manifest + header + one row per H
 
     @pytest.mark.parametrize(
-        "grid", ["0.1:0.5:0", "0.1:0.5:-0.1", "0.5:0.1:0.1", "0.1:inf:0.1"],
-        ids=["zero-step", "negative-step", "lo-above-hi", "infinite-hi"],
+        "grid",
+        ["0.1:0.5:0", "0.1:0.5:-0.1", "0.5:0.1:0.1", "0.1:inf:0.1",
+         "0.1:0.5:1e-300", "0:0:1e-300", "0.1:0.5:1e-15", "100:100:1e-15"],
+        ids=["zero-step", "negative-step", "lo-above-hi", "infinite-hi",
+             "vanishing-step", "vanishing-step-point", "tiny-step",
+             "step-below-ulp"],
     )
     def test_hurst_grid_must_ascend(self, tmp_path, grid):
-        # a step <= 0 never reaches hi, and lo > hi would give an empty table
+        # a step <= 0 or below an ulp never reaches hi, a tiny one asks for
+        # ~1e14 points, and lo > hi would give an empty table; the parser is
+        # called first, on its own, so none of these can start a decomposition
+        with pytest.raises(ParseError):
+            _parse_grid(grid)
         out = tmp_path / "grid"
         code = run("compare", "--fixture", "combined", "--methods", "emd",
                    "--hurst-grid", grid, "--max-imfs", "1", "--out", str(out))
         assert code == EXIT_USAGE
         assert not (out / "compare.csv").exists()
+
+    def test_hurst_grid_point_bound(self):
+        assert _parse_grid("0.1:0.5:0.1") == [0.1, 0.2, 0.3, 0.4, 0.5]
+        assert len(_parse_grid("0.001:1:0.001")) == MAX_GRID_POINTS
+        with pytest.raises(ParseError):
+            _parse_grid("0:1:0.001")
 
     def test_ensemble_grid_rows(self, tmp_path):
         out = tmp_path / "grid"

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from npceemd import Signal, emd, find_extrema, sift_once, spline_envelope
 from npceemd.emd import (
@@ -34,6 +36,91 @@ def test_find_extrema_plateau_midpoint():
     # even-length plateau rounds its midpoint down
     max_i, _, _, _ = find_extrema(np.array([0.0, 1.0, 1.0, 1.0, 1.0, 0.0]))
     assert list(max_i) == [2]
+
+
+def _extrema_reference(x):
+    """The extrema rule as a plain loop: each run of equal neighbours is one
+    candidate at its midpoint rounded down, and the two end runs never count."""
+    runs = []
+    start = 0
+    for i in range(1, len(x) + 1):
+        if i == len(x) or x[i] != x[start]:
+            runs.append(((start + i - 1) // 2, x[start]))
+            start = i
+    max_i, max_v, min_i, min_v = [], [], [], []
+    for (_, left), (mid, v), (_, right) in zip(runs, runs[1:], runs[2:]):
+        if v > left and v > right:
+            max_i.append(mid)
+            max_v.append(v)
+        elif v < left and v < right:
+            min_i.append(mid)
+            min_v.append(v)
+    return max_i, max_v, min_i, min_v
+
+
+def _series_with_ties(rng, n):
+    kind = rng.integers(4)
+    if kind == 0:
+        return rng.standard_normal(n)
+    if kind == 1:  # integer values: ties and plateaus everywhere
+        return rng.integers(-2, 3, n).astype(float)
+    if kind == 2:  # runs of random length, long plateaus
+        return np.repeat(rng.standard_normal(n), rng.integers(1, 6, n))[:n]
+    # monotone stretches broken by a few reversals and flats
+    steps = rng.choice([-1.0, 0.0, 1.0], n, p=[0.1, 0.2, 0.7])
+    return np.cumsum(steps)
+
+
+def test_find_extrema_matches_loop_reference():
+    rng = np.random.default_rng(2024)
+    for _ in range(2000):
+        n = int(rng.integers(4, 201))
+        x = _series_with_ties(rng, n)
+        got = find_extrema(x)
+        want = _extrema_reference(x.tolist())
+        for g, w in zip(got[::2], want[::2]):
+            assert g.tolist() == w
+        for g, w in zip(got[1::2], want[1::2]):
+            assert np.array_equal(g, np.array(w, dtype=float))
+
+
+def _metamorphic_series(seed, n, thirds):
+    x = np.random.default_rng(seed).standard_normal(n)
+    return np.round(3.0 * x) / 3.0 if thirds else x
+
+
+def _assert_maps_exactly(out, base, f):
+    assert out.n_imfs == base.n_imfs
+    for a, b in zip(out.imfs, base.imfs):
+        assert np.array_equal(a, f(b))
+    assert np.array_equal(out.residue, f(base.residue))
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(16, 600),
+    thirds=st.booleans(),
+    k=st.integers(-60, 60),
+)
+@settings(max_examples=60, deadline=None)
+def test_emd_sign_flip_and_power_of_two_scaling_are_exact(seed, n, thirds, k):
+    # Sifting only compares, adds and solves linear systems, and negation and
+    # scaling by 2**k commute with each of those roundings exactly.
+    x = _metamorphic_series(seed, n, thirds)
+    base = emd(Signal(x, 100.0))
+    _assert_maps_exactly(emd(Signal(-x, 100.0)), base, np.negative)
+    scale = 2.0 ** k
+    _assert_maps_exactly(emd(Signal(scale * x, 100.0)), base, lambda v: scale * v)
+
+
+@pytest.mark.parametrize(
+    "indices", [[30, 10, 50], [10, 30, 30, 50]], ids=["unsorted", "duplicate"]
+)
+def test_spline_envelope_rejects_indices_not_strictly_ascending(indices):
+    idx = np.array(indices)
+    with pytest.raises(ValueError, match="strictly ascending") as err:
+        spline_envelope(idx, np.ones(idx.size), 100)
+    assert not isinstance(err.value, TooFewExtrema)
 
 
 def test_spline_envelope_two_end_knots_is_linear():
