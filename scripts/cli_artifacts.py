@@ -1,0 +1,139 @@
+"""Run a fixed table of CLI invocations and keep every file they write.
+
+Each invocation writes under ``OUT/<label>/``; ``OUT/exit_codes.txt``
+lists every label with its exit code and ``OUT/stdout.txt`` what each one
+printed. Running the table against two source trees and comparing the
+outputs shows whether a CLI change keeps its artifacts byte for byte:
+
+    python scripts/cli_artifacts.py --src /path/to/parent/src --out /tmp/parent
+    python scripts/cli_artifacts.py --out /tmp/change
+    diff -r /tmp/parent /tmp/change
+
+Only the labels under "exit 2" below are meant to differ, and only where
+a change turns an accepted invocation into a usage error on purpose. The
+table runs in under ten seconds on two cores.
+
+Usage:
+    python scripts/cli_artifacts.py --out DIR [--src SRC]
+"""
+
+import argparse
+import contextlib
+import io
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+
+DEFECT = "sim-defect/defect.csv"
+DEFECT_HZ = repr(1.0 / 0.015)
+SMALL = ["--seed", "1", "--ensemble", "2", "--max-imfs", "4"]
+FIXTURE_FLAGS = [
+    "--sample-rate", "12000", "--duration", "0.25", "--fm", "30", "--t-prime", "0.02",
+    "--fn", "2500", "--decay", "700", "--amplitude", "4", "--jitter-frac", "0.01",
+    "--noise-sigma", "2",
+]
+
+# (label, argv without --out). A path under OUT is written as "@label/file"
+# and must come from an earlier row.
+INVOCATIONS = [
+    # simulate: every fixture, with default and non-default flags
+    ("sim-tone", ["simulate", "tone"]),
+    ("sim-impulses", ["simulate", "impulses", "--seed", "3"]),
+    ("sim-combined", ["simulate", "combined"]),
+    ("sim-combined-snr", ["simulate", "combined", "--snr-db", "10", "--seed", "3"]),
+    ("sim-noisy", ["simulate", "combined-noisy", "--seed", "2"]),
+    ("sim-noisy-snr", ["simulate", "combined-noisy", "--seed", "2", "--snr-db", "0"]),
+    ("sim-defect", ["simulate", "defect", "--seed", "1"]),
+    ("sim-defect-flags", ["simulate", "defect", "--seed", "5", "--severity", "3", *FIXTURE_FLAGS]),
+    ("sim-run", ["simulate", "degradation-run", "--seed", "4", "--specimens", "3",
+                 "--duration", "0.1"]),
+    ("sim-run-flags", ["simulate", "degradation-run", "--seed", "6", "--specimens", "2",
+                       *FIXTURE_FLAGS]),
+    # decompose: each method, small Ne, --max-imfs, single-column input
+    ("dec-emd", ["decompose", "@" + DEFECT, "--method", "emd", "--verify"]),
+    ("dec-emd-max", ["decompose", "@" + DEFECT, "--method", "emd", "--max-imfs", "3"]),
+    ("dec-eemd", ["decompose", "@" + DEFECT, "--method", "eemd", *SMALL]),
+    ("dec-ceemd", ["decompose", "@" + DEFECT, "--method", "ceemd", "--noise-scale", "0.3",
+                   *SMALL]),
+    ("dec-ceemdan", ["decompose", "@" + DEFECT, "--method", "ceemdan", "--verify", *SMALL]),
+    ("dec-npceemd", ["decompose", "@" + DEFECT, "--method", "npceemd", "--hurst", "0.3",
+                     *SMALL]),
+    ("dec-column", ["decompose", "@inputs/values.csv", "--sample-rate", "500",
+                    "--method", "emd"]),
+    # diagnose: mi and kurtosis, each with and without --target-hz
+    ("dia-mi", ["diagnose", "@" + DEFECT, "--method", "npceemd", *SMALL]),
+    ("dia-mi-target", ["diagnose", "@" + DEFECT, "--method", "npceemd", "--target-hz",
+                       DEFECT_HZ, "--mi-threshold", "0.05", "--k", "4", *SMALL]),
+    ("dia-kurtosis", ["diagnose", "@" + DEFECT, "--method", "emd", "--select", "kurtosis"]),
+    ("dia-kurtosis-target", ["diagnose", "@" + DEFECT, "--method", "eemd", "--select",
+                             "kurtosis", "--target-hz", DEFECT_HZ, *SMALL]),
+    # compare: the method, Hurst and ensemble grids
+    ("cmp-methods", ["compare", "--fixture", "combined", "--methods",
+                     "emd,eemd,ceemd,ceemdan,npceemd", "--seed", "0", "--ensemble", "1",
+                     "--max-imfs", "3"]),
+    ("cmp-hurst", ["compare", "--fixture", "combined-noisy", "--seed", "1", "--methods",
+                   "npceemd", "--hurst-grid", "0.2:0.6:0.2", "--ensemble", "1",
+                   "--max-imfs", "3"]),
+    ("cmp-ensemble", ["compare", "--fixture", "combined", "--snr-db", "10", "--seed", "2",
+                      "--methods", "eemd", "--ensemble-grid", "1,2", "--max-imfs", "3"]),
+    ("cmp-method", ["compare", "--fixture", "combined", "--method", "emd", "--max-imfs", "2"]),
+    # exit 2: flags a fixture does not read, a sample rate of 0, a flag
+    # before the fixture name, and grids with an invalid point
+    ("x-tone-snr-rate", ["simulate", "tone", "--sample-rate", "5000", "--snr-db", "-10"]),
+    ("x-impulses-fm", ["simulate", "impulses", "--fm", "30"]),
+    ("x-combined-severity", ["simulate", "combined", "--severity", "2"]),
+    ("x-noisy-specimens", ["simulate", "combined-noisy", "--seed", "2", "--specimens", "3"]),
+    ("x-defect-snr", ["simulate", "defect", "--seed", "1", "--snr-db", "0"]),
+    ("x-run-severity", ["simulate", "degradation-run", "--seed", "4", "--specimens", "1",
+                        "--duration", "0.1", "--severity", "2"]),
+    ("x-rate-zero", ["simulate", "defect", "--seed", "1", "--sample-rate", "0"]),
+    ("x-seed-first", ["simulate", "--seed", "4", "tone"]),
+    ("x-unknown-fixture", ["simulate", "wavelet"]),
+    ("x-noisy-unseeded", ["simulate", "combined-noisy"]),
+    ("x-cmp-method", ["compare", "--fixture", "combined", "--seed", "1", "--methods",
+                      "npceemd,foo", "--max-imfs", "2"]),
+    ("x-cmp-hurst", ["compare", "--fixture", "combined", "--seed", "1", "--methods", "npceemd",
+                     "--hurst-grid", "0.5:1.0:0.5", "--ensemble", "1", "--max-imfs", "2"]),
+    ("x-cmp-ensemble", ["compare", "--fixture", "combined", "--seed", "1", "--methods", "eemd",
+                        "--ensemble-grid", "2,0", "--max-imfs", "2"]),
+]
+
+
+def write_inputs(out: str) -> None:
+    """A single-column record, which `simulate` does not write."""
+    os.makedirs(os.path.join(out, "inputs"))
+    values = [repr(((k * 7919) % 101 - 50) / 25.0) for k in range(400)]
+    with open(os.path.join(out, "inputs", "values.csv"), "w") as fh:
+        fh.write("value\n" + "\n".join(values) + "\n")
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", required=True, help="new output directory")
+    parser.add_argument("--src", default=os.path.join(HERE, "..", "src"),
+                        help="source tree whose npceemd package is run")
+    args = parser.parse_args()
+    if os.path.exists(args.out):
+        parser.error(f"{args.out} exists; an old file there would enter the diff")
+    sys.path.insert(0, os.path.abspath(args.src))
+    from npceemd.cli import main as cli_main
+
+    write_inputs(args.out)
+    codes, printed = [], []
+    for label, argv in INVOCATIONS:
+        argv = [os.path.join(args.out, a[1:]) if a.startswith("@") else a for a in argv]
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            code = cli_main([*argv, "--out", os.path.join(args.out, label)])
+        codes.append(f"{label} {code}\n")
+        printed.extend(f"{label}: {line}\n" for line in stdout.getvalue().splitlines())
+    with open(os.path.join(args.out, "exit_codes.txt"), "w") as fh:
+        fh.writelines(codes)
+    with open(os.path.join(args.out, "stdout.txt"), "w") as fh:
+        fh.writelines(printed)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

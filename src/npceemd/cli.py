@@ -216,54 +216,56 @@ def _noisy_snr(args: argparse.Namespace) -> float:
     return args.snr_db if args.snr_db is not None else -30.0
 
 
+# simulate flag -> DefectSimParams field; each flag defaults to its field.
+DEFECT_FLAGS = {
+    "--sample-rate": "sample_rate_hz", "--duration": "duration_s", "--fm": "f_m",
+    "--t-prime": "T_prime", "--fn": "f_n", "--decay": "B", "--amplitude": "amplitude_scale",
+    "--jitter-frac": "jitter_frac", "--noise-sigma": "noise_sigma",
+}
+
+
 def _defect_params(args: argparse.Namespace) -> DefectSimParams:
     return DefectSimParams(
-        f_m=args.fm,
-        T_prime=args.t_prime,
-        f_n=args.fn,
-        B=args.decay,
-        amplitude_scale=args.amplitude,
-        jitter_frac=args.jitter_frac,
-        noise_sigma=args.noise_sigma,
-        sample_rate_hz=args.sample_rate if args.sample_rate else 10000.0,
-        duration_s=args.duration,
+        **{field: getattr(args, field) for field in DEFECT_FLAGS.values()},
         seed=_require_seed(args, f"for the {args.fixture} fixture"),
     )
 
 
 @dataclass(frozen=True)
 class Fixture:
-    """A generated record: its output file, manifest params and generator.
+    """A generated record: its output file, the option groups (see
+    ``build_parser``) its generator reads, its manifest params and generator.
 
     ``gen_combined`` itself refuses noise without a seed, so the combined
     fixtures need no seed check here.
     """
 
     filename: str
+    reads: tuple[str, ...]
     params: Callable[[argparse.Namespace], dict]
     generate: Callable[[argparse.Namespace], Signal | DegradationRun]
 
 
 FIXTURES = {
-    "tone": Fixture("tone.csv", lambda a: {}, lambda a: gen_tone()),
-    "impulses": Fixture("impulses.csv", lambda a: {}, lambda a: gen_impulses()),
+    "tone": Fixture("tone.csv", (), lambda a: {}, lambda a: gen_tone()),
+    "impulses": Fixture("impulses.csv", (), lambda a: {}, lambda a: gen_impulses()),
     "combined": Fixture(
-        "combined.csv",
+        "combined.csv", ("snr",),
         lambda a: {"snr_db": a.snr_db},
         lambda a: gen_combined(a.snr_db, a.seed),
     ),
     "combined-noisy": Fixture(
-        "combined_noisy.csv",
+        "combined_noisy.csv", ("snr",),
         lambda a: {"snr_db": _noisy_snr(a)},
         lambda a: gen_combined(_noisy_snr(a), a.seed),
     ),
     "defect": Fixture(
-        "defect.csv",
+        "defect.csv", ("defect", "severity"),
         lambda a: {"severity": a.severity, "params": dataclasses.asdict(_defect_params(a))},
         lambda a: gen_defect_signal(_defect_params(a), a.severity),
     ),
     "degradation-run": Fixture(
-        "index.csv",
+        "index.csv", ("defect", "specimens"),
         lambda a: {"specimens": a.specimens, "params": dataclasses.asdict(_defect_params(a))},
         lambda a: gen_degradation_run(_defect_params(a), a.specimens),
     ),
@@ -289,7 +291,7 @@ def _ensemble_config(args: argparse.Namespace, **overrides) -> EnsembleConfig:
         ensemble_size=args.ensemble,
         noise_scale=args.noise_scale,
         hurst=args.hurst,
-        master_seed=args.seed if args.seed is not None else 0,
+        master_seed=args.seed if args.seed is not None else EnsembleConfig.master_seed,
         sift=SiftConfig(max_imfs=args.max_imfs),
     )
     return EnsembleConfig(**{**fields, **overrides})
@@ -386,24 +388,25 @@ def _parse_grid(spec: str) -> list[float]:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    grid = itertools.product(
+        args.methods or [args.method],
+        _parse_grid(args.hurst_grid) if args.hurst_grid else [args.hurst],
+        [int(p) for p in args.ensemble_grid.split(",")] if args.ensemble_grid else [args.ensemble],
+    )
+    # Every config is built, and so checked, before the first decomposition.
+    configs = [_ensemble_config(args, method=m, hurst=h, ensemble_size=e) for m, h, e in grid]
     signal = FIXTURES[args.fixture].generate(args)
     n = len(signal)
     components = [
         Component("tone", gen_tone().samples[:n]),
         Component("impulses", gen_impulses().samples[:n], impulsive=True),
     ]
-    grid = itertools.product(
-        args.methods or [args.method],
-        _parse_grid(args.hurst_grid) if args.hurst_grid else [args.hurst],
-        [int(p) for p in args.ensemble_grid.split(",")] if args.ensemble_grid else [args.ensemble],
-    )
     rows = []
-    for method, hurst, ensemble in grid:
-        cfg = _ensemble_config(args, method=method, hurst=hurst, ensemble_size=ensemble)
+    for cfg in configs:
         imf_set = decompose(signal, cfg)
         tone, impulses = separation_scores(imf_set, components)
         rows.append((
-            method, hurst, ensemble, imf_set.n_imfs,
+            cfg.method, cfg.hurst, cfg.ensemble_size, imf_set.n_imfs,
             tone.correlation, tone.leakage, impulses.correlation, impulses.leakage,
         ))
 
@@ -435,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="npceemd",
         description="Ensemble decomposition and envelope-spectrum diagnosis",
     )
-    # Option groups; each subcommand takes only the groups it reads.
+    # Option groups; each subcommand and each simulate fixture takes only the groups it reads.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="64-bit RNG seed")
     common.add_argument("--out", default=".", help="output directory")
@@ -443,35 +446,33 @@ def build_parser() -> argparse.ArgumentParser:
     rate.add_argument("--sample-rate", type=float, default=None,
                       help="sample rate in Hz for single-column CSV input")
     ensemble = argparse.ArgumentParser(add_help=False)
-    ensemble.add_argument("--method", choices=METHODS, default="npceemd")
-    ensemble.add_argument("--ensemble", type=int, default=10,
+    ensemble.add_argument("--method", choices=METHODS, default=EnsembleConfig.method)
+    ensemble.add_argument("--ensemble", type=int, default=EnsembleConfig.ensemble_size,
                           help="ensemble size Ne (pairs for ceemd/npceemd)")
-    ensemble.add_argument("--hurst", type=float, default=0.1)
-    ensemble.add_argument("--noise-scale", type=float, default=0.2)
-    ensemble.add_argument("--max-imfs", type=int, default=None)
+    ensemble.add_argument("--hurst", type=float, default=EnsembleConfig.hurst)
+    ensemble.add_argument("--noise-scale", type=float, default=EnsembleConfig.noise_scale)
+    ensemble.add_argument("--max-imfs", type=int, default=SiftConfig.max_imfs)
     selection = argparse.ArgumentParser(add_help=False)
     selection.add_argument("--mi-threshold", type=float, default=0.1)
     selection.add_argument("--k", type=int, default=3, help="MI neighbour count")
     selection.add_argument("--select", choices=("mi", "kurtosis"), default="mi")
     selection.add_argument("--target-hz", type=float, default=None)
+    groups = {g: argparse.ArgumentParser(add_help=False)
+              for g in ("snr", "defect", "severity", "specimens")}
+    groups["snr"].add_argument("--snr-db", type=float, default=None)
+    for flag, field in DEFECT_FLAGS.items():
+        groups["defect"].add_argument(flag, dest=field, type=float,
+                                      default=getattr(DefectSimParams, field), help=field)
+    groups["severity"].add_argument("--severity", type=float, default=1.0)
+    groups["specimens"].add_argument("--specimens", type=int, default=500)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sim = sub.add_parser("simulate", parents=[common, rate],
-                           help="write a benchmark fixture as CSV")
+    p_sim = sub.add_parser("simulate", help="write a benchmark fixture as CSV")
     p_sim.set_defaults(handler=cmd_simulate)
-    p_sim.add_argument("fixture", choices=tuple(FIXTURES))
-    p_sim.add_argument("--snr-db", type=float, default=None)
-    p_sim.add_argument("--severity", type=float, default=1.0)
-    p_sim.add_argument("--specimens", type=int, default=500)
-    p_sim.add_argument("--duration", type=float, default=0.5)
-    p_sim.add_argument("--fm", type=float, default=25.0)
-    p_sim.add_argument("--t-prime", type=float, default=0.015)
-    p_sim.add_argument("--fn", type=float, default=2000.0)
-    p_sim.add_argument("--decay", type=float, default=900.0)
-    p_sim.add_argument("--amplitude", type=float, default=5.0)
-    p_sim.add_argument("--jitter-frac", type=float, default=0.02)
-    p_sim.add_argument("--noise-sigma", type=float, default=8.0)
+    p_fix = p_sim.add_subparsers(dest="fixture", required=True)
+    for name, fixture in FIXTURES.items():
+        p_fix.add_parser(name, parents=[common, *(groups[g] for g in fixture.reads)])
 
     p_dec = sub.add_parser("decompose", parents=[common, rate, ensemble],
                            help="decompose a CSV record into IMFs")
@@ -486,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dia.set_defaults(handler=cmd_diagnose)
     p_dia.add_argument("input")
 
-    p_cmp = sub.add_parser("compare", parents=[common, ensemble],
+    p_cmp = sub.add_parser("compare", parents=[common, ensemble, groups["snr"]],
                            help="separation-score table across methods or grids")
     p_cmp.set_defaults(handler=cmd_compare)
     p_cmp.add_argument("--fixture", choices=("combined", "combined-noisy"), required=True)
@@ -495,7 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="lo:hi:step sweep of the Hurst exponent")
     p_cmp.add_argument("--ensemble-grid", default=None,
                        help="comma-separated ensemble sizes")
-    p_cmp.add_argument("--snr-db", type=float, default=None)
 
     return parser
 

@@ -36,17 +36,18 @@ class FgnParams:
             raise ValueError("length must be positive")
 
 
-def fgn_autocovariance(hurst: float, sigma: float, lag: int) -> float:
-    """Closed-form autocovariance of fGn at an integer lag.
+def fgn_autocovariance(hurst: float, sigma: float, lag: int | np.ndarray) -> float | np.ndarray:
+    """Closed-form autocovariance of fGn at an integer lag or array of lags.
 
-    (sigma^2 / 2) * (|k-1|^(2H) - 2|k|^(2H) + |k+1|^(2H)); equals sigma^2
-    at lag 0 and vanishes for positive lags when H = 0.5.
+    (sigma^2 / 2) * (|k-1|^(2H) - 2|k|^(2H) + |k+1|^(2H)), a float for a
+    scalar lag; equals sigma^2 at lag 0 and vanishes for positive lags when H = 0.5.
     """
     if not 0.0 < hurst < 1.0:
         raise ValueError("hurst must lie strictly inside (0, 1)")
-    k = abs(int(lag))
+    k = np.abs(np.asarray(lag, dtype=np.float64))
     h2 = 2.0 * hurst
-    return 0.5 * sigma * sigma * (abs(k - 1) ** h2 - 2.0 * k**h2 + (k + 1) ** h2)
+    gamma = 0.5 * sigma * sigma * (np.abs(k - 1.0) ** h2 - 2.0 * k**h2 + (k + 1.0) ** h2)
+    return float(gamma) if gamma.ndim == 0 else gamma
 
 
 def generate_white(sigma: float, length: int, seed: Seed) -> np.ndarray:
@@ -75,9 +76,7 @@ def generate_fgn(p: FgnParams) -> np.ndarray:
     if n > MAX_FGN_LENGTH:
         raise LengthTooLarge(f"length {n} exceeds cap {MAX_FGN_LENGTH}")
     m = 2 * n
-    k = np.arange(n + 1, dtype=np.float64)
-    h2 = 2.0 * p.hurst
-    gamma = 0.5 * (np.abs(k - 1.0) ** h2 - 2.0 * k**h2 + (k + 1.0) ** h2)
+    gamma = fgn_autocovariance(p.hurst, 1.0, np.arange(n + 1))
     row = np.concatenate((gamma, gamma[-2:0:-1]))
     lam = np.fft.fft(row).real
     negative = lam < 0.0

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
 
+from npceemd import DefectSimParams, EnsembleConfig
 from npceemd.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_OK,
@@ -300,7 +302,8 @@ def test_diagnose_constant_record_is_inconclusive(tmp_path, variant):
     assert len(read_lines(out / "mi_scores.csv")) == 2  # manifest + header
 
 
-# Options each subcommand does not read; argparse must reject them.
+# Options each subcommand, or each simulate fixture, does not read;
+# argparse must reject them.
 REMOVED_FLAGS = {
     "simulate": [
         ("--method", "emd"), ("--ensemble", "2"), ("--hurst", "0.2"),
@@ -315,6 +318,13 @@ REMOVED_FLAGS = {
         ("--sample-rate", "100"), ("--mi-threshold", "0.1"), ("--k", "3"),
         ("--select", "mi"), ("--target-hz", "50"), ("--input", "x.csv"),
     ],
+    "tone": [
+        ("--snr-db", "-10"), ("--sample-rate", "5000"), ("--severity", "2"),
+        ("--specimens", "3"), ("--fm", "30"),
+    ],
+    "combined": [("--fm", "30"), ("--sample-rate", "5000"), ("--severity", "2")],
+    "defect": [("--snr-db", "0"), ("--specimens", "3")],
+    "degradation-run": [("--snr-db", "0"), ("--severity", "2")],
 }
 
 
@@ -328,6 +338,11 @@ def test_subcommand_rejects_flags_it_does_not_read(tmp_path, tone_csv, command, 
         "decompose": ["decompose", tone_csv, "--method", "emd"],
         "compare": ["compare", "--fixture", "combined", "--method", "emd",
                     "--max-imfs", "1"],
+        "tone": ["simulate", "tone"],
+        "combined": ["simulate", "combined"],
+        "defect": ["simulate", "defect", "--seed", "1", "--duration", "0.05"],
+        "degradation-run": ["simulate", "degradation-run", "--seed", "1",
+                            "--specimens", "1", "--duration", "0.05"],
     }[command]
     assert run(*base, "--out", str(tmp_path / "ok")) == EXIT_OK
     assert run(*base, flag, value, "--out", str(tmp_path / "bad")) == EXIT_USAGE
@@ -344,3 +359,40 @@ def test_compare_combined_honours_snr(tmp_path):
     assert run("compare", "--fixture", "clean", "--out", str(tmp_path)) == EXIT_USAGE
     assert run("compare", "--fixture", "combined", "--snr-db", "0",
                "--out", str(tmp_path / "unseeded")) == EXIT_USAGE
+
+
+def manifest(path):
+    line = read_lines(path)[0]
+    return json.loads(line.removeprefix("# manifest: "))
+
+
+def test_defaults_come_from_the_library_configs(tmp_path, tone_csv):
+    assert run("simulate", "defect", "--seed", "1", "--out", str(tmp_path)) == EXIT_OK
+    params = manifest(tmp_path / "defect.csv")["config"]["params"]
+    assert params == dataclasses.asdict(DefectSimParams(seed=1))
+    assert run("decompose", tone_csv, "--method", "emd", "--out", str(tmp_path)) == EXIT_OK
+    config = manifest(tmp_path / "imfs.csv")["config"]
+    assert config == dataclasses.asdict(EnsembleConfig(method="emd"))
+
+
+def test_simulate_options_follow_the_fixture_name(tmp_path):
+    assert run("simulate", "--seed", "4", "tone", "--out", str(tmp_path)) == EXIT_USAGE
+    # DefectSimParams rejects a zero rate; there is no CLI fallback rate.
+    assert run("simulate", "defect", "--seed", "1", "--sample-rate", "0",
+               "--out", str(tmp_path)) == EXIT_USAGE
+    assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [["--methods", "npceemd,foo"],
+     ["--methods", "npceemd", "--hurst-grid", "0.5:1.0:0.5"],
+     ["--methods", "eemd", "--ensemble-grid", "2,0"]],
+    ids=["method", "hurst", "ensemble"],
+)
+def test_compare_checks_the_whole_grid_first(tmp_path, monkeypatch, grid):
+    calls = []
+    monkeypatch.setattr("npceemd.cli.decompose", lambda *a: calls.append(a))
+    assert run("compare", "--fixture", "combined", "--seed", "1", *grid,
+               "--out", str(tmp_path)) == EXIT_USAGE
+    assert calls == []

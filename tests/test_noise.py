@@ -34,6 +34,22 @@ def test_autocovariance_antipersistent_is_negative():
     assert fgn_autocovariance(0.1, 1.0, 1) < 0.0
 
 
+def test_autocovariance_takes_an_array_of_lags():
+    # generate_fgn builds its circulant row from the array form. numpy may
+    # take array powers from SIMD routines an ulp away from the scalar ones,
+    # and the second difference cancels, so the bound is a few ulps of its
+    # largest term (k+1)^(2H); lags are symmetric about 0.
+    lags = np.arange(-3, 50)
+    for hurst, sigma in ((0.1, 1.0), (0.5, 2.0), (0.9, 0.3)):
+        row = fgn_autocovariance(hurst, sigma, lags)
+        assert row.shape == lags.shape
+        scalars = [fgn_autocovariance(hurst, sigma, int(k)) for k in lags]
+        assert all(type(v) is float for v in scalars)
+        ulps = 4 * np.finfo(np.float64).eps * sigma**2 * (np.abs(lags) + 1.0) ** (2 * hurst)
+        assert np.all(np.abs(row - scalars) <= ulps)
+        assert scalars[2] == scalars[4]  # lags -1 and 1
+
+
 def test_white_variance_and_whiteness():
     draws = generate_white(1.0, 1_000_000, 77)
     assert np.var(draws) == pytest.approx(1.0, abs=0.01)
