@@ -1,9 +1,10 @@
 """Run a fixed table of CLI invocations and keep every file they write.
 
 Each invocation writes under ``OUT/<label>/``; ``OUT/exit_codes.txt``
-lists every label with its exit code and ``OUT/stdout.txt`` what each one
-printed. Running the table against two source trees and comparing the
-outputs shows whether a CLI change keeps its artifacts byte for byte:
+lists every label with its exit code (or the name of the exception it
+raised) and ``OUT/stdout.txt`` what each one printed. Running the table
+against two source trees and comparing the outputs shows whether a CLI
+change keeps its artifacts byte for byte:
 
     python scripts/cli_artifacts.py --src /path/to/parent/src --out /tmp/parent
     python scripts/cli_artifacts.py --out /tmp/change
@@ -78,8 +79,9 @@ INVOCATIONS = [
     ("cmp-ensemble", ["compare", "--fixture", "combined", "--snr-db", "10", "--seed", "2",
                       "--methods", "eemd", "--ensemble-grid", "1,2", "--max-imfs", "3"]),
     ("cmp-method", ["compare", "--fixture", "combined", "--method", "emd", "--max-imfs", "2"]),
-    # exit 2: flags a fixture does not read, a sample rate of 0, a flag
-    # before the fixture name, and grids with an invalid point
+    # exit 2: flags a fixture does not read, a sample rate of 0, a sample
+    # count that is not finite or above the cap, a flag before the fixture
+    # name, and grids with an invalid point
     ("x-tone-snr-rate", ["simulate", "tone", "--sample-rate", "5000", "--snr-db", "-10"]),
     ("x-impulses-fm", ["simulate", "impulses", "--fm", "30"]),
     ("x-combined-severity", ["simulate", "combined", "--severity", "2"]),
@@ -88,6 +90,9 @@ INVOCATIONS = [
     ("x-run-severity", ["simulate", "degradation-run", "--seed", "4", "--specimens", "1",
                         "--duration", "0.1", "--severity", "2"]),
     ("x-rate-zero", ["simulate", "defect", "--seed", "1", "--sample-rate", "0"]),
+    ("x-rate-inf", ["simulate", "defect", "--seed", "1", "--sample-rate", "inf"]),
+    ("x-duration-inf", ["simulate", "defect", "--seed", "1", "--duration", "inf"]),
+    ("x-rate-huge", ["simulate", "defect", "--seed", "1", "--sample-rate", "1e12"]),
     ("x-seed-first", ["simulate", "--seed", "4", "tone"]),
     ("x-unknown-fixture", ["simulate", "wavelet"]),
     ("x-noisy-unseeded", ["simulate", "combined-noisy"]),
@@ -125,7 +130,10 @@ def main() -> int:
         argv = [os.path.join(args.out, a[1:]) if a.startswith("@") else a for a in argv]
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
-            code = cli_main([*argv, "--out", os.path.join(args.out, label)])
+            try:
+                code = cli_main([*argv, "--out", os.path.join(args.out, label)])
+            except Exception as exc:  # a crash is an outcome to compare, too
+                code = type(exc).__name__
         codes.append(f"{label} {code}\n")
         printed.extend(f"{label}: {line}\n" for line in stdout.getvalue().splitlines())
     with open(os.path.join(args.out, "exit_codes.txt"), "w") as fh:

@@ -6,10 +6,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import PPoly
+from scipy.linalg import solve_banded
 from scipy.signal import find_peaks
 
 from .signals import Signal
+
+
+# (max_indices, max_values, min_indices, min_values), as find_extrema gives.
+Extrema = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 class TooFewExtrema(ValueError):
@@ -71,9 +76,7 @@ class ImfSet:
         return total
 
 
-def find_extrema(
-    samples: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def find_extrema(samples: np.ndarray) -> Extrema:
     """Strict local maxima and minima of a sampled series.
 
     A plateau of equal values counts once, at its midpoint index (rounded
@@ -108,25 +111,62 @@ def spline_envelope(
 ) -> np.ndarray:
     """Natural cubic spline through mirror-extended extrema at 0..n-1.
 
-    ``indices`` must be strictly ascending (ValueError). Raises
-    TooFewExtrema when fewer than two knots remain even after the mirror
-    extension, which signals a monotone residue.
+    ``indices`` must be strictly ascending and ``values`` finite, one per
+    index (ValueError). Raises TooFewExtrema when fewer than two knots
+    remain even after the mirror extension, which signals a monotone
+    residue.
+
+    The spline is scipy's ``CubicSpline(pos, mag, bc_type="natural")``
+    without its per-call validation and object construction: the same
+    banded system for the knot slopes, row for row, the same Hermite
+    coefficients and the same ``PPoly`` evaluation, so the envelope is
+    bit-identical to it.
     """
     idx = np.asarray(indices, dtype=np.int64)
     val = np.asarray(values, dtype=np.float64)
+    if idx.ndim != 1 or idx.shape != val.shape:
+        raise ValueError("envelope indices and values must be 1-D and of equal length")
     if np.any(np.diff(idx) <= 0):
         raise ValueError("envelope indices must be strictly ascending")
     pos, mag = _mirror_extend(idx, val, n)
     if pos.size < 2:
         raise TooFewExtrema(f"{pos.size} envelope knots after extension")
-    spline = CubicSpline(pos, mag, bc_type="natural")
-    return spline(np.arange(n, dtype=np.float64))
+    if not np.all(np.isfinite(mag)):
+        raise ValueError("envelope values must be finite")
+    # Knot slopes s from the tridiagonal system, in the banded layout of
+    # solve_banded: row 0 the upper diagonal, 1 the diagonal, 2 the lower.
+    # The end rows are the natural condition y'' = 0, written as scipy
+    # writes a second-derivative condition of value 0.0.
+    dx = np.diff(pos)
+    slope = np.diff(mag) / dx
+    ab = np.zeros((3, pos.size))
+    b = np.empty(pos.size)
+    ab[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+    ab[0, 2:] = dx[:-1]
+    ab[-1, :-2] = dx[1:]
+    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    ab[1, 0] = 2 * dx[0]
+    ab[0, 1] = dx[0]
+    b[0] = -0.5 * 0.0 * dx[0] ** 2 + 3 * (mag[1] - mag[0])
+    ab[1, -1] = 2 * dx[-1]
+    ab[-1, -2] = dx[-1]
+    b[-1] = 0.5 * 0.0 * dx[-1] ** 2 + 3 * (mag[-1] - mag[-2])
+    s = solve_banded(
+        (1, 1), ab, b, overwrite_ab=True, overwrite_b=True, check_finite=False
+    )
+    # Cubic Hermite coefficients per knot interval, highest power first.
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    c = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], mag[:-1]))
+    return PPoly.construct_fast(c, pos)(np.arange(n, dtype=np.float64))
 
 
-def sift_once(h: np.ndarray) -> np.ndarray:
-    """One sifting pass: subtract the mean of the two spline envelopes."""
+def sift_once(h: np.ndarray, *, extrema: Extrema | None = None) -> np.ndarray:
+    """One sifting pass: subtract the mean of the two spline envelopes.
+
+    ``extrema`` is ``find_extrema(h)`` when the caller has already taken it.
+    """
     x = np.asarray(h, dtype=np.float64)
-    max_i, max_v, min_i, min_v = find_extrema(x)
+    max_i, max_v, min_i, min_v = find_extrema(x) if extrema is None else extrema
     if max_i.size == 0 or min_i.size == 0:
         raise TooFewExtrema(f"{max_i.size} maxima / {min_i.size} minima")
     upper = spline_envelope(max_i, max_v, x.size)
@@ -141,11 +181,17 @@ def _sum_squares(v: np.ndarray) -> float:
     return float(np.einsum("i,i->", v, v))
 
 
-def holds_mode(residue: np.ndarray) -> bool:
-    """Whether another mode can be sifted out: the residue needs a maximum,
-    a minimum and three extrema; below that it is a monotone-like trend."""
-    max_i, _, min_i, _ = find_extrema(residue)
-    return max_i.size >= 1 and min_i.size >= 1 and max_i.size + min_i.size >= 3
+def mode_extrema(residue: np.ndarray) -> Extrema | None:
+    """``find_extrema(residue)`` if another mode can be sifted out, else None.
+
+    A mode needs a maximum, a minimum and three extrema; below that the
+    residue is a monotone-like trend.
+    """
+    extrema = find_extrema(residue)
+    max_i, _, min_i, _ = extrema
+    if max_i.size >= 1 and min_i.size >= 1 and max_i.size + min_i.size >= 3:
+        return extrema
+    return None
 
 
 def emd(s: Signal, cfg: SiftConfig | None = None) -> ImfSet:
@@ -167,7 +213,8 @@ def emd(s: Signal, cfg: SiftConfig | None = None) -> ImfSet:
     residue = x.copy()
     while len(imfs) < limit:
         peak = float(np.max(np.abs(residue)))
-        if peak <= negligible or not holds_mode(residue):
+        extrema = None if peak <= negligible else mode_extrema(residue)
+        if extrema is None:
             break
         # The Cauchy sums are taken on values scaled by 2**-e, so they cannot
         # overflow at extreme amplitudes. A power-of-two scale is exact, so
@@ -176,9 +223,11 @@ def emd(s: Signal, cfg: SiftConfig | None = None) -> ImfSet:
         h = residue
         for _ in range(cfg.max_sift_iterations):
             try:
-                h_new = sift_once(h)
+                h_new = sift_once(h, extrema=extrema)
             except TooFewExtrema:
                 break
+            # The residue's scan serves the first pass only.
+            extrema = None
             scaled = np.ldexp(h, -e)
             diff = np.ldexp(h - h_new, -e)
             denom = _sum_squares(scaled)

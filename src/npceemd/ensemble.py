@@ -6,7 +6,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .emd import ImfSet, SiftConfig, emd, holds_mode
+from .emd import ImfSet, SiftConfig, emd, mode_extrema
 from .noise import FgnParams, generate_fgn, generate_white
 from .signals import Signal
 
@@ -137,7 +137,7 @@ def ceemdan(s: Signal, cfg: EnsembleConfig) -> ImfSet:
     imfs: list[np.ndarray] = []
     residue = x.copy()
     while len(imfs) < limit:
-        if not holds_mode(residue):
+        if mode_extrema(residue) is None:
             break
         eps = cfg.noise_scale * float(np.std(residue))
         stage = np.zeros(n)

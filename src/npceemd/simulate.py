@@ -9,6 +9,7 @@ from typing import Callable
 
 import numpy as np
 
+from .noise import MAX_FGN_LENGTH
 from .signals import Seed, Signal, mix_to_snr
 
 # The tone/impulse fixtures use one second at this rate.
@@ -98,6 +99,14 @@ class DefectSimParams:
             raise ValueError("noise_sigma must be nonnegative")
         if not self.duration_s > 0:
             raise ValueError("duration_s must be positive")
+        # gen_defect_signal allocates this many samples; the fGn cap bounds
+        # it, and a non-finite rate or duration gives no count at all.
+        samples = self.duration_s * self.sample_rate_hz
+        if not (math.isfinite(samples) and round(samples) <= MAX_FGN_LENGTH):
+            raise ValueError(
+                f"duration_s * sample_rate_hz must be finite and round to at "
+                f"most {MAX_FGN_LENGTH} samples, got {samples}"
+            )
 
     @property
     def defect_frequency_hz(self) -> float:

@@ -384,6 +384,18 @@ def test_simulate_options_follow_the_fixture_name(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [["defect", "--sample-rate", "inf"], ["defect", "--duration", "inf"],
+     ["defect", "--sample-rate", "1e12"], ["degradation-run", "--sample-rate", "inf"]],
+    ids=["inf-rate", "inf-duration", "huge-rate", "run-inf-rate"],
+)
+def test_simulate_rejects_unbounded_sample_counts(tmp_path, argv):
+    # These used to end in an OverflowError or a numpy allocation error.
+    assert run("simulate", *argv, "--seed", "1", "--out", str(tmp_path)) == EXIT_USAGE
+    assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize(
     "grid",
     [["--methods", "npceemd,foo"],
      ["--methods", "npceemd", "--hurst-grid", "0.5:1.0:0.5"],

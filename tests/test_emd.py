@@ -1,14 +1,27 @@
+import importlib
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 
-from npceemd import Signal, emd, find_extrema, sift_once, spline_envelope
+from npceemd import (
+    DefectSimParams,
+    Signal,
+    emd,
+    find_extrema,
+    gen_combined,
+    gen_defect_signal,
+    sift_once,
+    spline_envelope,
+)
 from npceemd.emd import (
     SiftConfig,
     TooFewExtrema,
+    _mirror_extend,
     imf_criterion_gap,
     zero_crossings,
 )
@@ -123,6 +136,83 @@ def test_spline_envelope_rejects_indices_not_strictly_ascending(indices):
     assert not isinstance(err.value, TooFewExtrema)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_spline_envelope_rejects_non_finite_values(bad):
+    # An overflowed sift must fail here rather than spread NaN downstream.
+    with pytest.raises(ValueError) as err:
+        spline_envelope(np.array([10, 30, 50]), np.array([1.0, bad, 2.0]), 100)
+    assert not isinstance(err.value, TooFewExtrema)
+
+
+def test_spline_envelope_rejects_values_not_one_per_index():
+    with pytest.raises(ValueError) as err:
+        spline_envelope(np.array([10, 30, 50]), np.array([1.0, 2.0]), 100)
+    assert not isinstance(err.value, TooFewExtrema)
+
+
+def _assert_matches_cubic_spline(indices, values, n):
+    """spline_envelope against scipy's CubicSpline on the same knots, bit for
+    bit, including the sign of zeros."""
+    pos, mag = _mirror_extend(np.asarray(indices), np.asarray(values, dtype=float), n)
+    want = CubicSpline(pos, mag, bc_type="natural")(np.arange(n))
+    got = spline_envelope(indices, values, n)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _knot_values(rng, kind, size):
+    if kind == "normal":
+        return rng.standard_normal(size)
+    if kind == "plateau":  # neighbouring knots of equal value
+        return np.repeat(rng.standard_normal(2), size)[:size]
+    if kind == "signed-zero":
+        return rng.choice([0.0, -0.0, 1.0, -1.0], size)
+    return rng.standard_normal(size) * 10.0 ** rng.integers(-200, 200, size)
+
+
+@pytest.mark.parametrize("kind", ["normal", "plateau", "signed-zero", "scaled"])
+def test_spline_envelope_matches_cubic_spline_on_small_knot_sets(kind):
+    # 1 to 5 indices, each end on the end sample (no reflection there) or
+    # inside (reflected), so 2 and 3 knots after the extension come up.
+    rng = np.random.default_rng(77)
+    for k in range(1, 6):
+        for at_start in (True, False):
+            for at_end in (True, False):
+                for _ in range(10):
+                    n = int(rng.integers(k + 4, 80))
+                    inner = np.sort(rng.choice(np.arange(1, n - 1), k, replace=False))
+                    if at_start:
+                        inner[0] = 0
+                    if at_end:
+                        inner[-1] = n - 1
+                    idx = np.unique(inner)
+                    _assert_matches_cubic_spline(idx, _knot_values(rng, kind, idx.size), n)
+
+
+def test_spline_envelope_matches_cubic_spline_on_sift_envelopes(emd_clean_combined):
+    # Envelopes of real sifts: the first passes over a 5000-sample specimen
+    # and over the noisy 32768-sample fixture, and the final IMFs of the
+    # clean fixture, whose slow modes have few knots.
+    series = []
+    for x in (
+        gen_defect_signal(DefectSimParams(seed=11), 4.0).samples,
+        gen_combined(snr_db=-30.0, seed=0).samples,
+    ):
+        h = x
+        for _ in range(3):
+            series.append(h)
+            h = sift_once(h)
+    series.extend(emd_clean_combined.imfs)
+    checked = 0
+    for h in series:
+        max_i, max_v, min_i, min_v = find_extrema(h)
+        for idx, val in ((max_i, max_v), (min_i, min_v)):
+            if idx.size:
+                _assert_matches_cubic_spline(idx, val, h.size)
+                checked += 1
+    assert checked >= 20
+
+
 def test_spline_envelope_two_end_knots_is_linear():
     n = 11
     env = spline_envelope(np.array([0, 10]), np.array([1.0, 3.0]), n)
@@ -189,6 +279,30 @@ def test_sift_once_fixed_point_for_imf():
     out = sift_once(x)
     sd = np.sum((x - out) ** 2) / np.sum(x**2)
     assert sd < SiftConfig().sd_threshold
+
+
+def test_emd_scans_each_residue_once(monkeypatch):
+    # The mode check's extrema scan is handed to the mode's first sift, so
+    # only a final check that ends the decomposition adds a scan.
+    module = importlib.import_module("npceemd.emd")
+    calls = Counter()
+
+    def counted(name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("find_extrema", "sift_once"):
+        monkeypatch.setattr(module, name, counted(name))
+    t = np.arange(2000) / 1000.0
+    x = sum(np.sin(2 * np.pi * f * t) for f in (7.0, 40.0, 180.0))
+    out = emd(Signal(x + 0.3 * t, 1000.0))
+    assert out.n_imfs >= 3
+    assert calls["sift_once"] <= calls["find_extrema"] <= calls["sift_once"] + 1
 
 
 def test_emd_pure_tone():

@@ -16,6 +16,7 @@ from npceemd import (
     gen_tone,
     rms,
 )
+from npceemd.noise import MAX_FGN_LENGTH
 
 
 class TestToneFixture:
@@ -164,3 +165,20 @@ def test_invalid_params_rejected():
         DefectSimParams(T_prime=0.0001)  # shorter than a resonance cycle
     with pytest.raises(ValueError):
         gen_degradation_run(DefectSimParams(), 0)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [{"sample_rate_hz": math.inf}, {"duration_s": math.inf},
+     {"sample_rate_hz": 1e12}, {"sample_rate_hz": 1e300, "duration_s": 1e300},
+     {"sample_rate_hz": float(MAX_FGN_LENGTH) + 1.0, "duration_s": 1.0}],
+    ids=["inf-rate", "inf-duration", "huge-rate", "product-overflows", "one-over-cap"],
+)
+def test_sample_count_must_be_finite_and_capped(params):
+    # gen_defect_signal allocates round(duration_s * sample_rate_hz) samples
+    with pytest.raises(ValueError, match="samples"):
+        DefectSimParams(**params)
+
+
+def test_sample_count_at_the_cap_is_accepted():
+    DefectSimParams(sample_rate_hz=float(MAX_FGN_LENGTH), duration_s=1.0)
