@@ -4,14 +4,7 @@ mutual-information mode selection, and envelope-spectrum defect diagnosis."""
 __version__ = "0.1.0"
 
 from .emd import ImfSet, SiftConfig, emd, find_extrema, sift_once, spline_envelope
-from .ensemble import (
-    EnsembleConfig,
-    ceemd,
-    ceemdan,
-    decompose,
-    eemd,
-    npceemd,
-)
+from .ensemble import EnsembleConfig, decompose
 from .mi import (
     MiScore,
     digamma,
@@ -52,7 +45,7 @@ __all__ = [
     "Signal", "rms", "kurtosis", "mix_to_snr",
     "SiftConfig", "ImfSet", "find_extrema", "spline_envelope", "sift_once", "emd",
     "FgnParams", "fgn_autocovariance", "generate_fgn", "generate_white",
-    "EnsembleConfig", "eemd", "ceemd", "ceemdan", "npceemd", "decompose",
+    "EnsembleConfig", "decompose",
     "MiScore", "digamma", "knn_mutual_information", "score_imfs",
     "select_by_mi", "select_by_kurtosis",
     "EnvelopeSpectrum", "PeakDetection", "analytic_envelope",

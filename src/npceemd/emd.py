@@ -7,10 +7,13 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import PPoly
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError, get_lapack_funcs
 from scipy.signal import find_peaks
 
 from .signals import Signal
+
+# LAPACK's tridiagonal solver, the routine solve_banded runs for (1, 1) bands.
+(_GTSV,) = get_lapack_funcs(("gtsv",), dtype=np.float64)
 
 
 # (max_indices, max_values, min_indices, min_values), as find_extrema gives.
@@ -54,15 +57,16 @@ class ImfSet:
 
     imfs: list[np.ndarray]
     residue: np.ndarray
-    source_length: int
     sample_rate_hz: float
 
     def __post_init__(self) -> None:
-        if self.residue.size != self.source_length:
-            raise ValueError("residue length must match the source length")
         for imf in self.imfs:
-            if imf.size != self.source_length:
-                raise ValueError("every IMF must match the source length")
+            if imf.size != self.residue.size:
+                raise ValueError("every IMF must match the residue length")
+
+    @property
+    def source_length(self) -> int:
+        return self.residue.size
 
     @property
     def n_imfs(self) -> int:
@@ -118,7 +122,8 @@ def spline_envelope(
 
     The spline is scipy's ``CubicSpline(pos, mag, bc_type="natural")``
     without its per-call validation and object construction: the same
-    banded system for the knot slopes, row for row, the same Hermite
+    tridiagonal system for the knot slopes, row for row, solved by the same
+    LAPACK ``gtsv`` that ``solve_banded`` calls, the same Hermite
     coefficients and the same ``PPoly`` evaluation, so the envelope is
     bit-identical to it.
     """
@@ -133,27 +138,23 @@ def spline_envelope(
         raise TooFewExtrema(f"{pos.size} envelope knots after extension")
     if not np.all(np.isfinite(mag)):
         raise ValueError("envelope values must be finite")
-    # Knot slopes s from the tridiagonal system, in the banded layout of
-    # solve_banded: row 0 the upper diagonal, 1 the diagonal, 2 the lower.
-    # The end rows are the natural condition y'' = 0, written as scipy
-    # writes a second-derivative condition of value 0.0.
+    # Knot slopes s from the tridiagonal system: lower diagonal dl, diagonal
+    # d, upper diagonal du. The end rows are the natural condition y'' = 0,
+    # written as scipy writes a second-derivative condition of value 0.0.
     dx = np.diff(pos)
     slope = np.diff(mag) / dx
-    ab = np.zeros((3, pos.size))
+    d = 2 * np.concatenate((dx[:1], dx[:-1] + dx[1:], dx[-1:]))
+    du = np.concatenate((dx[:1], dx[:-1]))
+    dl = np.concatenate((dx[1:], dx[-1:]))
     b = np.empty(pos.size)
-    ab[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
-    ab[0, 2:] = dx[:-1]
-    ab[-1, :-2] = dx[1:]
     b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-    ab[1, 0] = 2 * dx[0]
-    ab[0, 1] = dx[0]
     b[0] = -0.5 * 0.0 * dx[0] ** 2 + 3 * (mag[1] - mag[0])
-    ab[1, -1] = 2 * dx[-1]
-    ab[-1, -2] = dx[-1]
     b[-1] = 0.5 * 0.0 * dx[-1] ** 2 + 3 * (mag[-1] - mag[-2])
-    s = solve_banded(
-        (1, 1), ab, b, overwrite_ab=True, overwrite_b=True, check_finite=False
-    )
+    *_, s, info = _GTSV(dl, d, du, b, True, True, True, True)
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of gtsv")
     # Cubic Hermite coefficients per knot interval, highest power first.
     t = (s[:-1] + s[1:] - 2 * slope) / dx
     c = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], mag[:-1]))
@@ -194,6 +195,33 @@ def mode_extrema(residue: np.ndarray) -> Extrema | None:
     return None
 
 
+def sift_mode(residue: np.ndarray, extrema: Extrema, cfg: SiftConfig) -> np.ndarray:
+    """Sift one mode out of ``residue``, whose ``mode_extrema`` scan is
+    ``extrema``, until the Cauchy SD drops below the threshold or the
+    iteration cap is reached; returns the mode."""
+    # The Cauchy sums are taken on values scaled by 2**-e, so they cannot
+    # overflow at extreme amplitudes. A power-of-two scale is exact, so
+    # the ratio keeps its bits wherever the unscaled sums stayed finite.
+    e = math.frexp(float(np.max(np.abs(residue))))[1]
+    h = residue
+    for _ in range(cfg.max_sift_iterations):
+        try:
+            h_new = sift_once(h, extrema=extrema)
+        except TooFewExtrema:
+            break
+        # The residue's scan serves the first pass only.
+        extrema = None
+        scaled = np.ldexp(h, -e)
+        diff = np.ldexp(h - h_new, -e)
+        denom = _sum_squares(scaled)
+        h = h_new
+        if denom == 0.0:
+            break
+        if _sum_squares(diff) / denom < cfg.sd_threshold:
+            break
+    return h
+
+
 def emd(s: Signal, cfg: SiftConfig | None = None) -> ImfSet:
     """Decompose a signal into IMFs plus a residue by iterated sifting.
 
@@ -216,34 +244,10 @@ def emd(s: Signal, cfg: SiftConfig | None = None) -> ImfSet:
         extrema = None if peak <= negligible else mode_extrema(residue)
         if extrema is None:
             break
-        # The Cauchy sums are taken on values scaled by 2**-e, so they cannot
-        # overflow at extreme amplitudes. A power-of-two scale is exact, so
-        # the ratio keeps its bits wherever the unscaled sums stayed finite.
-        e = math.frexp(peak)[1]
-        h = residue
-        for _ in range(cfg.max_sift_iterations):
-            try:
-                h_new = sift_once(h, extrema=extrema)
-            except TooFewExtrema:
-                break
-            # The residue's scan serves the first pass only.
-            extrema = None
-            scaled = np.ldexp(h, -e)
-            diff = np.ldexp(h - h_new, -e)
-            denom = _sum_squares(scaled)
-            h = h_new
-            if denom == 0.0:
-                break
-            if _sum_squares(diff) / denom < cfg.sd_threshold:
-                break
+        h = sift_mode(residue, extrema, cfg)
         imfs.append(h)
         residue = residue - h
-    return ImfSet(
-        imfs=imfs,
-        residue=residue,
-        source_length=x.size,
-        sample_rate_hz=s.sample_rate_hz,
-    )
+    return ImfSet(imfs, residue, s.sample_rate_hz)
 
 
 def zero_crossings(x: np.ndarray) -> int:

@@ -40,7 +40,7 @@ from npceemd import (
     knn_mutual_information,
     separation_scores,
 )
-from npceemd.ensemble import ceemdan, decompose
+from npceemd.ensemble import decompose
 from npceemd.pipeline import VERDICT_DEFECT
 from conftest import (
     COMPARISON_DRAWS,
@@ -155,7 +155,7 @@ def test_criterion_1_reconstruction_identity():
             worst_emd, float(np.max(np.abs(s.samples - out.reconstruct()))) / scale
         )
         cfg = EnsembleConfig(method="ceemdan", ensemble_size=2, master_seed=i)
-        out = ceemdan(s, cfg)
+        out = decompose(s, cfg)
         worst_ceemdan = max(
             worst_ceemdan,
             float(np.max(np.abs(s.samples - out.reconstruct()))) / scale,

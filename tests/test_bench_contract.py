@@ -65,3 +65,34 @@ def test_speed_reference_kernel_imports_nothing_from_the_package():
     assert imported
     for name in imported:
         assert not name.startswith(".") and name.split(".")[0] != "npceemd", name
+
+
+def test_every_package_name_the_workloads_read_resolves():
+    # The workloads reach the package through ``api`` (or ``self.api``), the
+    # imported ``npceemd``; a public name removed from the package must
+    # fail here rather than in a benchmark run.
+    import npceemd
+    import npceemd.cli  # noqa: F401  (the workloads call api.cli.main)
+
+    def api_path(node):
+        """("cli", "main") for api.cli.main or self.api.cli.main, else ()."""
+        names = []
+        while isinstance(node, ast.Attribute):
+            names.append(node.attr)
+            node = node.value
+        if isinstance(node, ast.Name):
+            names.append(node.id)
+        names.reverse()
+        if names[:2] == ["self", "api"]:
+            names = names[1:]
+        return tuple(names[1:]) if names[:1] == ["api"] else ()
+
+    tree = ast.parse((BENCH / "workloads.py").read_text())
+    paths = {api_path(node) for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    paths.discard(())
+    assert ("decompose",) in paths
+    for path in paths:
+        target = npceemd
+        for name in path:
+            assert hasattr(target, name), ".".join(("npceemd",) + path)
+            target = getattr(target, name)

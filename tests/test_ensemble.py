@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from npceemd import EnsembleConfig, Signal, ceemd, ceemdan, eemd, emd, npceemd
-from npceemd.emd import SiftConfig
-from npceemd.ensemble import decompose
+from npceemd import EnsembleConfig, Signal, emd
+from npceemd import ensemble
+from npceemd.emd import ImfSet, SiftConfig
+from npceemd.ensemble import METHODS, decompose
 from npceemd.noise import FgnParams, generate_fgn, generate_white
 from conftest import pearson
 
@@ -31,15 +32,33 @@ def cfg_for(method: str, **kw) -> EnsembleConfig:
     return EnsembleConfig(**defaults)
 
 
+def spy_on_trials(monkeypatch):
+    """Record each (trial, fractional, noise) that ``_trial_noise`` gives
+    and the samples of each signal the ensemble hands to ``emd``."""
+    noises, inputs = [], []
+    trial_noise, run_emd = ensemble._trial_noise, ensemble.emd
+
+    def noise_spy(cfg, n, trial, fractional):
+        w = trial_noise(cfg, n, trial, fractional)
+        noises.append((trial, fractional, w))
+        return w
+
+    def emd_spy(s, cfg=None):
+        inputs.append(s.samples)
+        return run_emd(s, cfg)
+
+    monkeypatch.setattr(ensemble, "_trial_noise", noise_spy)
+    monkeypatch.setattr(ensemble, "emd", emd_spy)
+    return noises, inputs
+
+
 class TestZeroNoiseDegeneracy:
     # with vanishing injected noise every ensemble method collapses to emd
-    @pytest.mark.parametrize("runner,method", [
-        (eemd, "eemd"), (ceemd, "ceemd"), (ceemdan, "ceemdan"),
-    ])
-    def test_collapses_to_emd(self, runner, method):
+    @pytest.mark.parametrize("method", ["eemd", "ceemd", "ceemdan"])
+    def test_collapses_to_emd(self, method):
         s = two_tone_signal()
         plain = emd(s)
-        tiny = runner(s, cfg_for(method, ensemble_size=2, noise_scale=1e-8))
+        tiny = decompose(s, cfg_for(method, ensemble_size=2, noise_scale=1e-8))
         scale = float(np.max(np.abs(s.samples)))
         assert max_imf_deviation(plain, tiny) <= 1e-6 * scale
         assert np.max(np.abs(plain.residue - tiny.residue)) <= 1e-6 * scale
@@ -59,8 +78,8 @@ class TestDeterminism:
 
     def test_master_seed_changes_output(self):
         s = two_tone_signal()
-        a = eemd(s, cfg_for("eemd", ensemble_size=3, master_seed=1))
-        b = eemd(s, cfg_for("eemd", ensemble_size=3, master_seed=2))
+        a = decompose(s, cfg_for("eemd", ensemble_size=3, master_seed=1))
+        b = decompose(s, cfg_for("eemd", ensemble_size=3, master_seed=2))
         assert any(not np.array_equal(x, y) for x, y in zip(a.imfs, b.imfs))
 
 
@@ -79,23 +98,57 @@ class TestCeemd:
         # plus/minus pairs cancel the injected noise in the ensemble mean,
         # so ceemd reconstructs far better than eemd at the same size
         s = two_tone_signal()
-        e = eemd(s, cfg_for("eemd", ensemble_size=4))
-        c = ceemd(s, cfg_for("ceemd", ensemble_size=4))
+        e = decompose(s, cfg_for("eemd", ensemble_size=4))
+        c = decompose(s, cfg_for("ceemd", ensemble_size=4))
         err_e = np.max(np.abs(e.reconstruct() - s.samples))
         err_c = np.max(np.abs(c.reconstruct() - s.samples))
         assert err_c < 0.1 * err_e
 
-    def test_trial_count_is_doubled(self):
-        s = two_tone_signal()
-        out = ceemd(s, cfg_for("ceemd", ensemble_size=2))
-        assert out.n_imfs >= 2  # smoke: pairs ran and averaged
+    def test_trial_count_is_doubled(self, monkeypatch):
+        # 2*Ne trials over Ne noise realizations, run in the order j+, j-
+        s = two_tone_signal(n=512)
+        noises, inputs = spy_on_trials(monkeypatch)
+        for method in ("ceemd", "npceemd"):
+            noises.clear()
+            inputs.clear()
+            decompose(s, cfg_for(method, ensemble_size=3))
+            assert [j for j, _, _ in noises] == [0, 1, 2]
+            assert all(frac == (method == "npceemd") for _, frac, _ in noises)
+            assert len(inputs) == 6
+            for i, x in enumerate(inputs):
+                sign = 1.0 if i % 2 == 0 else -1.0
+                assert sign * np.dot(x - s.samples, noises[i // 2][2]) > 0
+
+
+class TestEemd:
+    def test_one_trial_per_member(self, monkeypatch):
+        s = two_tone_signal(n=512)
+        noises, inputs = spy_on_trials(monkeypatch)
+        decompose(s, cfg_for("eemd", ensemble_size=3))
+        assert [j for j, _, _ in noises] == [0, 1, 2]
+        assert not any(fractional for _, fractional, _ in noises)
+        assert len(inputs) == 3
+        for x, (_, _, w) in zip(inputs, noises):
+            assert np.dot(x - s.samples, w) > 0
 
 
 class TestCeemdan:
+    def test_one_noise_decomposition_per_member(self, monkeypatch):
+        # the Ne noise realizations are decomposed once each; the stages
+        # sift their modes without going through emd
+        s = two_tone_signal(n=512)
+        noises, inputs = spy_on_trials(monkeypatch)
+        decompose(s, cfg_for("ceemdan", ensemble_size=3))
+        assert [j for j, _, _ in noises] == [0, 1, 2]
+        assert not any(fractional for _, fractional, _ in noises)
+        assert len(inputs) == 3
+        for x, (_, _, w) in zip(inputs, noises):
+            assert np.array_equal(x, w)
+
     def test_reconstruction_is_telescoping(self):
         rng = np.random.default_rng(12)
         s = Signal(rng.standard_normal(2048), 1000.0)
-        out = ceemdan(s, cfg_for("ceemdan", ensemble_size=4))
+        out = decompose(s, cfg_for("ceemdan", ensemble_size=4))
         err = np.max(np.abs(out.reconstruct() - s.samples))
         assert err <= 1e-6 * np.max(np.abs(s.samples))
 
@@ -103,7 +156,7 @@ class TestCeemdan:
         # CEEMDAN smears low frequencies more than the paired methods, so
         # the slow-tone bound here is looser than npceemd's below
         s = two_tone_signal()
-        out = ceemdan(s, cfg_for("ceemdan", ensemble_size=4))
+        out = decompose(s, cfg_for("ceemdan", ensemble_size=4))
         slow = 2.0 * np.sin(2 * np.pi * 9.0 * np.arange(2048) / 2048.0)
         best = max(abs(pearson(imf, slow)) for imf in out.imfs)
         assert best >= 0.9
@@ -112,13 +165,13 @@ class TestCeemdan:
 class TestNpceemd:
     def test_uses_hurst_parameter(self):
         s = two_tone_signal()
-        low = npceemd(s, cfg_for("npceemd", ensemble_size=2, hurst=0.1))
-        high = npceemd(s, cfg_for("npceemd", ensemble_size=2, hurst=0.9))
+        low = decompose(s, cfg_for("npceemd", ensemble_size=2, hurst=0.1))
+        high = decompose(s, cfg_for("npceemd", ensemble_size=2, hurst=0.9))
         assert any(not np.array_equal(x, y) for x, y in zip(low.imfs, high.imfs))
 
     def test_two_tone_separation(self):
         s = two_tone_signal()
-        out = npceemd(s, cfg_for("npceemd"))
+        out = decompose(s, cfg_for("npceemd"))
         t = np.arange(2048) / 2048.0
         fast = np.sin(2 * np.pi * 160.0 * t)
         slow = 2.0 * np.sin(2 * np.pi * 9.0 * t)
@@ -173,51 +226,62 @@ class TestCleanFixtureRecovery:
 
 
 class TestPairSymmetry:
-    def test_sign_convention_is_irrelevant(self):
+    def test_sign_convention_is_irrelevant(self, monkeypatch):
         # the +/- trial set is identical as a set, so globally negating the
-        # injected noise cannot change the averaged output
-        from npceemd.ensemble import _aligned_mean
-        from npceemd.noise import generate_white
-
+        # injected noise (trials run j-, j+) cannot change the averaged output
         s = two_tone_signal()
-        x = s.samples
-        w = 0.1 * generate_white(1.0, x.size, (99, 0))
-        plus_first = _aligned_mean(
-            [emd(Signal(x + w, s.sample_rate_hz)), emd(Signal(x - w, s.sample_rate_hz))]
+        cfg = cfg_for("ceemd", ensemble_size=2)
+        plus_first = decompose(s, cfg)
+        trial_noise = ensemble._trial_noise
+        monkeypatch.setattr(
+            ensemble, "_trial_noise", lambda *args, **kw: -trial_noise(*args, **kw)
         )
-        minus_first = _aligned_mean(
-            [emd(Signal(x - w, s.sample_rate_hz)), emd(Signal(x + w, s.sample_rate_hz))]
-        )
-        for a, b in zip(plus_first[0], minus_first[0]):
+        minus_first = decompose(s, cfg)
+        assert plus_first.n_imfs == minus_first.n_imfs
+        for a, b in zip(plus_first.imfs, minus_first.imfs):
             assert np.allclose(a, b, atol=1e-12)
-        assert np.allclose(plus_first[1], minus_first[1], atol=1e-12)
+        assert np.allclose(plus_first.residue, minus_first.residue, atol=1e-12)
 
 
 class TestAlignment:
-    def test_differing_imf_counts_pad_with_zeros(self):
-        from npceemd.ensemble import _aligned_mean
-        from npceemd.emd import ImfSet
-
+    def test_differing_imf_counts_pad_with_zeros(self, monkeypatch):
+        # a trial with fewer modes adds nothing to the later sums, in either
+        # order, and the output has as many modes as the longest trial
         n = 64
         ones = np.ones(n)
-        short = ImfSet([ones.copy()], np.zeros(n), n, 10.0)
-        long = ImfSet([ones.copy(), 2.0 * ones], np.ones(n), n, 10.0)
-        imfs, residue = _aligned_mean([short, long])
-        assert len(imfs) == 2
-        assert np.allclose(imfs[0], 1.0)
-        assert np.allclose(imfs[1], 1.0)  # (0 + 2) / 2
-        assert np.allclose(residue, 0.5)
+        s = Signal(np.arange(n, dtype=float), 10.0)
+        for order in ("short-long", "long-short"):
+            short = ImfSet([ones.copy()], np.zeros(n), 10.0)
+            long = ImfSet([ones.copy(), 2.0 * ones], np.ones(n), 10.0)
+            trials = iter([short, long] if order == "short-long" else [long, short])
+            monkeypatch.setattr(ensemble, "emd", lambda s, cfg=None: next(trials))
+            out = decompose(s, cfg_for("eemd", ensemble_size=2))
+            assert out.n_imfs == 2, order
+            assert np.array_equal(out.imfs[0], ones), order
+            assert np.array_equal(out.imfs[1], ones), order  # (0 + 2) / 2
+            assert np.array_equal(out.residue, 0.5 * ones), order
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("k", [600, -600])
+@pytest.mark.parametrize("method", METHODS)
+def test_power_of_two_scaling_is_exact(method, k):
+    # 2**k is exact, so every stage (noise scale, sifting, averaging) must
+    # give the scaled decomposition bit for bit, without overflowing or
+    # underflowing the noise scale to zero
+    s = two_tone_signal(n=512)
+    cfg = cfg_for(method, ensemble_size=2)
+    base = decompose(s, cfg)
+    scaled = decompose(Signal(np.ldexp(s.samples, k), s.sample_rate_hz), cfg)
+    assert scaled.n_imfs == base.n_imfs
+    for a, b in zip(scaled.imfs + [scaled.residue], base.imfs + [base.residue]):
+        assert np.array_equal(a, np.ldexp(b, k))
 
 
 class TestConfigValidation:
     def test_method_names(self):
         with pytest.raises(ValueError):
             EnsembleConfig(method="vmd")
-
-    def test_method_mismatch_rejected(self):
-        s = two_tone_signal()
-        with pytest.raises(ValueError):
-            eemd(s, cfg_for("ceemd"))
 
     def test_bounds(self):
         with pytest.raises(ValueError):

@@ -158,7 +158,6 @@ def small_imf_set(arrays, fs=1000.0):
     return ImfSet(
         imfs=[np.asarray(a, dtype=float) for a in arrays],
         residue=np.zeros(n),
-        source_length=n,
         sample_rate_hz=fs,
     )
 
@@ -292,7 +291,6 @@ def test_selection_robust_to_subsampling_stride():
     halved_set = ImfSet(
         imfs=[imf[::2] for imf in imf_set.imfs],
         residue=imf_set.residue[::2],
-        source_length=16384,
         sample_rate_hz=16384.0,
     )
     fine = select_by_mi(score_imfs(halved, halved_set))  # no further stride

@@ -122,7 +122,7 @@ def test_short_record_rejected_before_decomposing(monkeypatch, entry, n, method)
 class TestSeparationScores:
     def make_set(self, arrays, fs=1000.0):
         n = arrays[0].size
-        return ImfSet([np.asarray(a, float) for a in arrays], np.zeros(n), n, fs)
+        return ImfSet([np.asarray(a, float) for a in arrays], np.zeros(n), fs)
 
     def test_exact_copy_scores_one(self):
         rng = np.random.default_rng(8)
