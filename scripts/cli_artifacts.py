@@ -81,7 +81,8 @@ INVOCATIONS = [
     ("cmp-method", ["compare", "--fixture", "combined", "--method", "emd", "--max-imfs", "2"]),
     # exit 2: flags a fixture does not read, a sample rate of 0, a sample
     # count that is not finite or above the cap, a flag before the fixture
-    # name, and grids with an invalid point
+    # name, grids with an invalid point, diagnose arguments it checks before
+    # decomposing, and a sample rate given beside a time column
     ("x-tone-snr-rate", ["simulate", "tone", "--sample-rate", "5000", "--snr-db", "-10"]),
     ("x-impulses-fm", ["simulate", "impulses", "--fm", "30"]),
     ("x-combined-severity", ["simulate", "combined", "--severity", "2"]),
@@ -102,6 +103,13 @@ INVOCATIONS = [
                      "--hurst-grid", "0.5:1.0:0.5", "--ensemble", "1", "--max-imfs", "2"]),
     ("x-cmp-ensemble", ["compare", "--fixture", "combined", "--seed", "1", "--methods", "eemd",
                         "--ensemble-grid", "2,0", "--max-imfs", "2"]),
+    ("x-dia-k-zero", ["diagnose", "@" + DEFECT, "--method", "emd", "--k", "0"]),
+    ("x-dia-threshold-nan", ["diagnose", "@" + DEFECT, "--method", "emd", "--mi-threshold",
+                             "nan"]),
+    ("x-dia-target-nyquist", ["diagnose", "@" + DEFECT, "--method", "emd", "--target-hz",
+                              "1e9"]),
+    ("x-dia-rate-timed", ["diagnose", "@" + DEFECT, "--method", "emd", "--sample-rate",
+                          "123"]),
 ]
 
 

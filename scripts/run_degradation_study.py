@@ -17,7 +17,6 @@ from npceemd import (  # noqa: E402
     DefectSimParams,
     EnsembleConfig,
     diagnose,
-    diagnose_kurtosis_baseline,
     gen_degradation_run,
     rms,
 )
@@ -52,6 +51,6 @@ if __name__ == "__main__":
           f"{report.verdict}")
     for method in ("eemd", "ceemd", "ceemdan"):
         cfg = EnsembleConfig(method=method, ensemble_size=10, master_seed=args.seed)
-        report = diagnose_kurtosis_baseline(specimen, cfg, target_hz=target)
+        report = diagnose(specimen, cfg, select="kurtosis", target_hz=target)
         print(f"{method:<10} {'kurtosis':<10} {str(report.selected_indices):<14} "
               f"{report.verdict}")

@@ -19,7 +19,6 @@ from .pipeline import (
     DiagnosisReport,
     SeparationScore,
     diagnose,
-    diagnose_kurtosis_baseline,
     separation_scores,
 )
 from .signals import Signal, kurtosis, mix_to_snr, rms
@@ -52,6 +51,5 @@ __all__ = [
     "envelope_spectrum", "detect_defect_peak",
     "DefectSimParams", "DegradationRun", "gen_tone", "gen_impulses",
     "gen_combined", "gen_defect_signal", "gen_degradation_run",
-    "DiagnosisReport", "Component", "SeparationScore", "diagnose",
-    "diagnose_kurtosis_baseline", "separation_scores",
+    "DiagnosisReport", "Component", "SeparationScore", "diagnose", "separation_scores",
 ]

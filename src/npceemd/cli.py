@@ -24,13 +24,8 @@ import numpy as np
 from . import __version__
 from .emd import SiftConfig
 from .ensemble import METHODS, EnsembleConfig, decompose
-from .pipeline import (
-    VERDICT_INCONCLUSIVE,
-    Component,
-    diagnose,
-    diagnose_kurtosis_baseline,
-    separation_scores,
-)
+from .mi import KSG_K, MI_THRESHOLD
+from .pipeline import SELECTORS, VERDICT_INCONCLUSIVE, Component, diagnose, separation_scores
 from .signals import Signal, rms
 from .simulate import (
     DefectSimParams,
@@ -138,7 +133,8 @@ def read_signal_csv(path: str, sample_rate_hz: float | None = None) -> Signal:
 
     Accepts ``#`` comment lines, an optional header row, and either a
     single ``value`` column (sample rate must be supplied) or
-    ``time,value`` columns with uniform spacing.
+    ``time,value`` columns with uniform spacing (sample rate must not be
+    supplied).
     """
     rows: list[list[float]] = []
     width: int | None = None
@@ -176,6 +172,9 @@ def read_signal_csv(path: str, sample_rate_hz: float | None = None) -> Signal:
                 f"{path}: single-column input requires --sample-rate"
             )
         return Signal(data[:, 0], sample_rate_hz)
+    if sample_rate_hz is not None:
+        raise ParseError(f"{path}: --sample-rate is for single-column input; "
+                         "the time column sets the rate")
     times, values = data[:, 0], data[:, 1]
     dt = np.diff(times)
     if dt.size == 0 or np.any(dt <= 0):
@@ -328,23 +327,9 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 def cmd_diagnose(args: argparse.Namespace) -> int:
     signal = _input_signal(args)
     cfg = _ensemble_config(args)
-    config = {
-        **dataclasses.asdict(cfg),
-        "select": args.select,
-        "mi_threshold": args.mi_threshold,
-        "k": args.k,
-        "target_hz": args.target_hz,
-    }
-    manifest = _manifest(args, config, _digest_file(args.input))
-    if args.select == "kurtosis":
-        report = diagnose_kurtosis_baseline(signal, cfg, target_hz=args.target_hz)
-    else:
-        report = diagnose(
-            signal, cfg,
-            mi_threshold=args.mi_threshold,
-            target_hz=args.target_hz,
-            k=args.k,
-        )
+    options = {name: getattr(args, name) for name in ("select", "mi_threshold", "k", "target_hz")}
+    manifest = _manifest(args, {**dataclasses.asdict(cfg), **options}, _digest_file(args.input))
+    report = diagnose(signal, cfg, **options)
     all_indices = sorted(report.selected_indices + report.rejected_indices)
     if all_indices != list(range(1, len(all_indices) + 1)):
         raise InternalCheckFailed("selected/rejected indices do not partition IMFs")
@@ -453,9 +438,9 @@ def build_parser() -> argparse.ArgumentParser:
     ensemble.add_argument("--noise-scale", type=float, default=EnsembleConfig.noise_scale)
     ensemble.add_argument("--max-imfs", type=int, default=SiftConfig.max_imfs)
     selection = argparse.ArgumentParser(add_help=False)
-    selection.add_argument("--mi-threshold", type=float, default=0.1)
-    selection.add_argument("--k", type=int, default=3, help="MI neighbour count")
-    selection.add_argument("--select", choices=("mi", "kurtosis"), default="mi")
+    selection.add_argument("--mi-threshold", type=float, default=MI_THRESHOLD)
+    selection.add_argument("--k", type=int, default=KSG_K, help="MI neighbour count")
+    selection.add_argument("--select", choices=SELECTORS, default=SELECTORS[0])
     selection.add_argument("--target-hz", type=float, default=None)
     groups = {g: argparse.ArgumentParser(add_help=False)
               for g in ("snr", "defect", "severity", "specimens")}

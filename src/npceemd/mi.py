@@ -25,9 +25,10 @@ class DegenerateData(ValueError):
     """Ties collapse the neighbour distances; the series carry no geometry."""
 
 
-class AllDegenerate(ValueError):
-    """Every IMF has zero variance; no kurtosis selection possible."""
-
+# The paper's selection: IMFs with more than MI_THRESHOLD nats of mutual
+# information with the raw signal, estimated from KSG_K neighbours.
+MI_THRESHOLD = 0.1
+KSG_K = 3
 
 # MI scoring subsamples anything longer than this by stride; neighbour
 # search is quadratic in the worst case.
@@ -106,7 +107,7 @@ def _strict_marginal_counts(a: np.ndarray, eps: np.ndarray) -> np.ndarray:
     return counts
 
 
-def knn_mutual_information(x: np.ndarray, y: np.ndarray, k: int = 3) -> float:
+def knn_mutual_information(x: np.ndarray, y: np.ndarray, k: int = KSG_K) -> float:
     """Mutual information in nats from k-th neighbour statistics.
 
     For each joint point the distance eps_i to its k-th nearest neighbour
@@ -153,7 +154,12 @@ class MiScore:
     degenerate: bool = False
 
 
-def score_imfs(raw: Signal, imf_set: ImfSet, k: int = 3) -> list[MiScore]:
+def mi_stride(n: int) -> int:
+    """Step that takes a record of n samples down to MAX_MI_SAMPLES or fewer."""
+    return max(1, math.ceil(n / MAX_MI_SAMPLES))
+
+
+def score_imfs(raw: Signal, imf_set: ImfSet, k: int = KSG_K) -> list[MiScore]:
     """One MiScore per IMF, order preserved.
 
     Long records are strided down to MAX_MI_SAMPLES points for scoring
@@ -163,7 +169,7 @@ def score_imfs(raw: Signal, imf_set: ImfSet, k: int = 3) -> list[MiScore]:
     x = raw.samples
     if imf_set.source_length != x.size:
         raise ValueError("IMF set does not match the raw signal length")
-    stride = max(1, math.ceil(x.size / MAX_MI_SAMPLES))
+    stride = mi_stride(x.size)
     xs = x[::stride]
     scores: list[MiScore] = []
     for i, imf in enumerate(imf_set.imfs, start=1):
@@ -175,7 +181,7 @@ def score_imfs(raw: Signal, imf_set: ImfSet, k: int = 3) -> list[MiScore]:
     return scores
 
 
-def select_by_mi(scores: list[MiScore], threshold: float = 0.1) -> list[int]:
+def select_by_mi(scores: list[MiScore], threshold: float = MI_THRESHOLD) -> list[int]:
     """Indices of IMFs whose MI exceeds the threshold, ascending.
 
     An empty selection is a valid outcome and is reported upstream; so is
@@ -184,8 +190,9 @@ def select_by_mi(scores: list[MiScore], threshold: float = 0.1) -> list[int]:
     return [s.imf_index for s in scores if s.value_nats > threshold]
 
 
-def select_by_kurtosis(imf_set: ImfSet) -> int:
-    """1-based index of the maximum-kurtosis IMF; ties go to the lowest index."""
+def select_by_kurtosis(imf_set: ImfSet) -> list[int]:
+    """``[i]`` for the maximum-kurtosis IMF i (1-based; ties go to the lowest
+    index), or ``[]`` when every IMF has zero variance."""
     best_index = 0
     best_value = -math.inf
     for i, imf in enumerate(imf_set.imfs, start=1):
@@ -195,6 +202,4 @@ def select_by_kurtosis(imf_set: ImfSet) -> int:
             continue
         if value > best_value:
             best_index, best_value = i, value
-    if best_index == 0:
-        raise AllDegenerate("every IMF has zero variance")
-    return best_index
+    return [best_index] if best_index else []

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -10,10 +11,19 @@ import numpy as np
 
 from .emd import ImfSet
 from .ensemble import EnsembleConfig, decompose
-from .mi import AllDegenerate, MiScore, score_imfs, select_by_kurtosis, select_by_mi
+from .mi import (
+    KSG_K,
+    MI_THRESHOLD,
+    MiScore,
+    mi_stride,
+    score_imfs,
+    select_by_kurtosis,
+    select_by_mi,
+)
 from .signals import Signal
 from .spectral import (
     MIN_ENVELOPE_SAMPLES,
+    PEAK_RATIO_THRESHOLD,
     EnvelopeSpectrum,
     PeakDetection,
     analytic_envelope,
@@ -24,6 +34,10 @@ from .spectral import (
 VERDICT_DEFECT = "DEFECT_CONFIRMED"
 VERDICT_NO_DEFECT = "NO_DEFECT_EVIDENCE"
 VERDICT_INCONCLUSIVE = "INCONCLUSIVE_EMPTY_SELECTION"
+
+# IMF selectors, the paper's first; each names its report's method_variant.
+_VARIANTS = {"mi": "mi", "kurtosis": "kurtosis_baseline"}
+SELECTORS = tuple(_VARIANTS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,108 +84,77 @@ def _pearson(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(da, db) / denom)
 
 
-def _checked_decompose(raw: Signal, cfg: EnsembleConfig) -> ImfSet:
-    """Decompose a record long enough for the envelope spectrum at the end."""
-    if len(raw) < MIN_ENVELOPE_SAMPLES:
-        raise ValueError(
-            f"need at least {MIN_ENVELOPE_SAMPLES} samples, got {len(raw)}"
-        )
-    return decompose(raw, cfg)
+def diagnose(
+    raw: Signal,
+    cfg: EnsembleConfig,
+    *,
+    select: str = SELECTORS[0],
+    mi_threshold: float = MI_THRESHOLD,
+    k: int = KSG_K,
+    target_hz: float | None = None,
+) -> DiagnosisReport:
+    """Decompose, select IMFs, and look for the defect frequency in the
+    envelope spectrum of their sum.
 
+    ``select="mi"`` keeps the IMFs with more than ``mi_threshold`` nats of
+    mutual information (``k`` neighbours) with the raw signal; the
+    ``"kurtosis"`` baseline keeps the single maximum-kurtosis IMF. With a
+    ``target_hz`` the verdict follows the peak test there; without one it
+    reflects whether any non-DC bin clears PEAK_RATIO_THRESHOLD times the
+    median. An empty selection yields the distinct inconclusive verdict
+    rather than falling back to another selector. Arguments are checked
+    before anything is decomposed: an unknown selector, a record shorter
+    than MIN_ENVELOPE_SAMPLES, a non-finite threshold, a ``k`` the scored
+    points cannot support, or a target outside (0, Nyquist) raises
+    ValueError.
+    """
+    n = len(raw)
+    if select not in SELECTORS:
+        raise ValueError(f"select must be one of {SELECTORS}, got {select!r}")
+    if n < MIN_ENVELOPE_SAMPLES:
+        raise ValueError(f"need at least {MIN_ENVELOPE_SAMPLES} samples, got {n}")
+    if not math.isfinite(mi_threshold):
+        raise ValueError(f"mi_threshold must be finite, got {mi_threshold}")
+    points = len(range(0, n, mi_stride(n)))
+    if select == "mi" and not 1 <= k <= points - 2:
+        raise ValueError(f"k must lie in [1, {points - 2}] for {points} scored points, got {k}")
+    nyquist = float(np.fft.rfftfreq(n, 1.0 / raw.sample_rate_hz)[-1])
+    if target_hz is not None and not 0.0 < target_hz < nyquist:
+        raise ValueError(f"target_hz must lie in (0, {nyquist}) Hz, got {target_hz}")
 
-def _combine(imf_set: ImfSet, selected: Sequence[int]) -> np.ndarray:
-    combined = np.zeros(imf_set.source_length)
+    imf_set = decompose(raw, cfg)
+    if select == "mi":
+        scores = tuple(score_imfs(raw, imf_set, k))
+        selected = select_by_mi(list(scores), mi_threshold)
+    else:
+        scores, selected = (), select_by_kurtosis(imf_set)
+    combined = np.zeros(n)
     for index in selected:
         combined += imf_set.imfs[index - 1]
-    return combined
-
-
-def _build_report(
-    method: str,
-    variant: str,
-    imf_set: ImfSet,
-    scores: tuple[MiScore, ...],
-    selected: list[int],
-    target_hz: float | None,
-    n_harmonics: int,
-    peak_ratio_threshold: float,
-) -> DiagnosisReport:
-    rejected = [i for i in range(1, imf_set.n_imfs + 1) if i not in selected]
-    combined = _combine(imf_set, selected)
-    digest = hashlib.sha256(combined.tobytes()).hexdigest()
     spectrum = envelope_spectrum(Signal(combined, imf_set.sample_rate_hz))
     detection = None
     if not selected:
         verdict = VERDICT_INCONCLUSIVE
     elif target_hz is not None:
-        detection = detect_defect_peak(
-            spectrum, target_hz, n_harmonics, peak_ratio_threshold
-        )
+        detection = detect_defect_peak(spectrum, target_hz)
         verdict = VERDICT_DEFECT if detection.found else VERDICT_NO_DEFECT
     else:
         floor = float(np.median(spectrum.amplitudes[1:]))
         top = float(np.max(spectrum.amplitudes[1:]))
-        confirmed = top > peak_ratio_threshold * floor if floor > 0 else top > 0
+        confirmed = top > PEAK_RATIO_THRESHOLD * floor if floor > 0 else top > 0
         verdict = VERDICT_DEFECT if confirmed else VERDICT_NO_DEFECT
+    rejected = [i for i in range(1, imf_set.n_imfs + 1) if i not in selected]
     return DiagnosisReport(
-        method=method,
-        method_variant=variant,
+        method=cfg.method,
+        method_variant=_VARIANTS[select],
         mi_scores=scores,
         selected_indices=tuple(selected),
         rejected_indices=tuple(rejected),
-        combined_signal_digest=digest,
+        combined_signal_digest=hashlib.sha256(combined.tobytes()).hexdigest(),
         spectrum=spectrum,
         defect_frequency_hz=target_hz,
         detection=detection,
         verdict=verdict,
-    )
-
-
-def diagnose(
-    raw: Signal,
-    cfg: EnsembleConfig,
-    mi_threshold: float = 0.1,
-    target_hz: float | None = None,
-    k: int = 3,
-    n_harmonics: int = 3,
-    peak_ratio_threshold: float = 5.0,
-) -> DiagnosisReport:
-    """Decompose, keep the IMFs informative about the raw signal, and look
-    for the defect frequency in their combined envelope spectrum.
-
-    IMFs with mutual information above ``mi_threshold`` (nats) are summed
-    into the resulting signal. With a ``target_hz`` the verdict follows
-    the peak test there; without one it reflects whether any non-DC bin
-    clears the peak ratio. An empty selection yields the distinct
-    inconclusive verdict rather than falling back to another selector.
-    A record shorter than MIN_ENVELOPE_SAMPLES raises ValueError before
-    it is decomposed.
-    """
-    imf_set = _checked_decompose(raw, cfg)
-    scores = tuple(score_imfs(raw, imf_set, k))
-    selected = select_by_mi(list(scores), mi_threshold)
-    return _build_report(
-        cfg.method, "mi", imf_set, scores, selected, target_hz, n_harmonics,
-        peak_ratio_threshold,
-    )
-
-
-def diagnose_kurtosis_baseline(
-    raw: Signal,
-    cfg: EnsembleConfig,
-    target_hz: float | None = None,
-    n_harmonics: int = 3,
-    peak_ratio_threshold: float = 5.0,
-) -> DiagnosisReport:
-    """Baseline selector: keep only the single maximum-kurtosis IMF."""
-    imf_set = _checked_decompose(raw, cfg)
-    try:
-        selected = [select_by_kurtosis(imf_set)]
-    except AllDegenerate:
-        selected = []
-    return _build_report(
-        cfg.method, "kurtosis_baseline", imf_set, (), selected, target_hz,
-        n_harmonics, peak_ratio_threshold,
     )
 
 

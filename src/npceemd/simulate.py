@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -116,10 +115,9 @@ class DefectSimParams:
 
 @dataclass(eq=False)
 class DegradationRun:
-    """Equally spaced specimens from a simulated run to failure."""
+    """One specimen per minute from a simulated run to failure."""
 
     specimens: list[Signal]
-    interval_minutes: float = 1.0
 
     def __post_init__(self) -> None:
         rates = {s.sample_rate_hz for s in self.specimens}
@@ -169,24 +167,19 @@ def default_severity_law(minute: int) -> float:
     return 1.0 + 9.0 * max(0.0, (minute - 300.0) / 200.0)
 
 
-def gen_degradation_run(
-    p: DefectSimParams,
-    n_specimens: int,
-    severity_law: Callable[[int], float] | None = None,
-) -> DegradationRun:
-    """One specimen per minute with severity taken from the law.
+def gen_degradation_run(p: DefectSimParams, n_specimens: int) -> DegradationRun:
+    """One specimen per minute with severity from ``default_severity_law``.
 
     Per-specimen seeds are derived deterministically from the parameter
     seed, so the run is reproducible and specimens are independent.
     """
     if n_specimens < 1:
         raise ValueError("n_specimens must be >= 1")
-    law = severity_law if severity_law is not None else default_severity_law
     child_seeds = np.random.SeedSequence(p.seed).generate_state(
         n_specimens, dtype=np.uint64
     )
     specimens = [
-        gen_defect_signal(replace(p, seed=int(child_seeds[m - 1])), law(m))
+        gen_defect_signal(replace(p, seed=int(child_seeds[m - 1])), default_severity_law(m))
         for m in range(1, n_specimens + 1)
     ]
-    return DegradationRun(specimens=specimens, interval_minutes=1.0)
+    return DegradationRun(specimens=specimens)

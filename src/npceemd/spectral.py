@@ -14,6 +14,9 @@ from .signals import Signal, _as_array
 # Shortest record whose analytic envelope is taken; a diagnosis needs one.
 MIN_ENVELOPE_SAMPLES = 8
 
+# A peak counts when it exceeds this multiple of the spectral floor.
+PEAK_RATIO_THRESHOLD = 5.0
+
 
 class TargetAboveNyquist(ValueError):
     """Requested defect frequency is not below the Nyquist frequency."""
@@ -110,7 +113,7 @@ def detect_defect_peak(
     spec: EnvelopeSpectrum,
     target_hz: float,
     n_harmonics: int = 3,
-    peak_ratio_threshold: float = 5.0,
+    peak_ratio_threshold: float = PEAK_RATIO_THRESHOLD,
     harmonic_ratio_threshold: float = 3.0,
 ) -> PeakDetection:
     """Test for a defect peak at the target frequency and its harmonics.

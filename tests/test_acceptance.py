@@ -28,7 +28,6 @@ from npceemd import (
     analytic_envelope,
     detect_defect_peak,
     diagnose,
-    diagnose_kurtosis_baseline,
     digamma,
     emd,
     envelope_spectrum,
@@ -402,7 +401,7 @@ def test_criterion_8_degradation_end_to_end(degradation_run, minute_440):
         base_cfg = EnsembleConfig(
             method=method, ensemble_size=10, master_seed=DEGRADATION_SEED
         )
-        base = diagnose_kurtosis_baseline(specimen, base_cfg, target_hz=DEFECT_HZ)
+        base = diagnose(specimen, base_cfg, select="kurtosis", target_hz=DEFECT_HZ)
         baseline_ok[method] = (base.verdict == VERDICT_DEFECT) == expected
     elapsed = time.monotonic() - start
     ok = (

@@ -16,6 +16,8 @@ from npceemd.cli import (
     main,
     read_signal_csv,
 )
+from npceemd.mi import KSG_K, MI_THRESHOLD
+from npceemd.pipeline import SELECTORS
 
 
 def run(*argv) -> int:
@@ -100,6 +102,13 @@ class TestReadSignalCsv:
         write_signal(path, np.sin(np.arange(64) * 0.3), fs=250.0)
         signal = read_signal_csv(str(path))
         assert signal.sample_rate_hz == pytest.approx(250.0, rel=1e-9)
+
+    def test_time_column_rejects_a_sample_rate(self, tmp_path):
+        # the time column sets the rate; a second rate would be ignored
+        path = tmp_path / "timed.csv"
+        write_signal(path, np.sin(np.arange(64) * 0.3), fs=250.0)
+        with pytest.raises(ParseError, match="single-column"):
+            read_signal_csv(str(path), sample_rate_hz=250.0)
 
     def test_malformed_row_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -373,6 +382,31 @@ def test_defaults_come_from_the_library_configs(tmp_path, tone_csv):
     assert run("decompose", tone_csv, "--method", "emd", "--out", str(tmp_path)) == EXIT_OK
     config = manifest(tmp_path / "imfs.csv")["config"]
     assert config == dataclasses.asdict(EnsembleConfig(method="emd"))
+    assert run("diagnose", tone_csv, "--method", "emd", "--out", str(tmp_path)) == EXIT_OK
+    config = manifest(tmp_path / "mi_scores.csv")["config"]
+    assert config == {
+        **dataclasses.asdict(EnsembleConfig(method="emd")),
+        "select": SELECTORS[0], "mi_threshold": MI_THRESHOLD, "k": KSG_K, "target_hz": None,
+    }
+
+
+@pytest.mark.parametrize(
+    "options",
+    [["--k", "0"], ["--k", "6000"], ["--target-hz", "0"], ["--target-hz", "-1"],
+     ["--target-hz", "nan"], ["--target-hz", "1e9"], ["--mi-threshold", "nan"],
+     ["--mi-threshold", "inf"], ["--select", "kurtosis", "--target-hz", "1e9"],
+     ["--sample-rate", "123"]],
+    ids=["k-zero", "k-huge", "target-zero", "target-negative", "target-nan", "target-huge",
+         "threshold-nan", "threshold-inf", "kurtosis-target-huge", "rate-beside-time"],
+)
+def test_diagnose_rejects_bad_options_before_decomposing(tmp_path, tone_csv, monkeypatch,
+                                                         options):
+    calls = []
+    monkeypatch.setattr("npceemd.pipeline.decompose", lambda *a: calls.append(a))
+    out = tmp_path / "out"
+    assert run("diagnose", tone_csv, "--method", "emd", *options,
+               "--out", str(out)) == EXIT_USAGE
+    assert calls == [] and not out.exists()
 
 
 def test_simulate_options_follow_the_fixture_name(tmp_path):

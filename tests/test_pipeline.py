@@ -8,12 +8,12 @@ from npceemd import (
     EnsembleConfig,
     Signal,
     diagnose,
-    diagnose_kurtosis_baseline,
     separation_scores,
 )
 from npceemd import pipeline
 from npceemd.emd import ImfSet
 from npceemd.pipeline import (
+    SELECTORS,
     VERDICT_DEFECT,
     VERDICT_INCONCLUSIVE,
     VERDICT_NO_DEFECT,
@@ -85,7 +85,7 @@ class TestKurtosisBaseline:
     def test_selects_single_imf(self, minute_440):
         cfg = EnsembleConfig(method="ceemd", ensemble_size=10,
                              master_seed=DEGRADATION_SEED)
-        report = diagnose_kurtosis_baseline(minute_440, cfg, target_hz=DEFECT_HZ)
+        report = diagnose(minute_440, cfg, select="kurtosis", target_hz=DEFECT_HZ)
         assert len(report.selected_indices) == 1
         assert report.method_variant == "kurtosis_baseline"
         assert report.mi_scores == ()
@@ -94,16 +94,12 @@ class TestKurtosisBaseline:
         # a constant signal decomposes to zero IMFs -> empty selection
         s = Signal(np.linspace(0.0, 1.0, 64), 100.0)
         cfg = EnsembleConfig(method="emd")
-        report = diagnose_kurtosis_baseline(s, cfg, target_hz=10.0)
+        report = diagnose(s, cfg, select="kurtosis", target_hz=10.0)
         assert report.verdict == VERDICT_INCONCLUSIVE
 
 
-@pytest.mark.parametrize("method", ["emd", "ceemdan"])
-@pytest.mark.parametrize("n", [4, 5, 6, 7])
-@pytest.mark.parametrize("entry", [diagnose, diagnose_kurtosis_baseline])
-def test_short_record_rejected_before_decomposing(monkeypatch, entry, n, method):
-    # the envelope spectrum needs 8 samples; a shorter record must fail at
-    # the edge, not after a full decomposition
+@pytest.fixture()
+def decompositions(monkeypatch):
     calls = []
     real = pipeline.decompose
 
@@ -112,11 +108,72 @@ def test_short_record_rejected_before_decomposing(monkeypatch, entry, n, method)
         return real(*args, **kwargs)
 
     monkeypatch.setattr(pipeline, "decompose", counting_decompose)
+    return calls
+
+
+@pytest.mark.parametrize("method", ["emd", "ceemdan"])
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+# The ids are the calls these cases made before ``select`` replaced the
+# second entry point, so the cases keep their names.
+@pytest.mark.parametrize("select", SELECTORS, ids=["diagnose", "diagnose_kurtosis_baseline"])
+def test_short_record_rejected_before_decomposing(decompositions, select, n, method):
+    # the envelope spectrum needs 8 samples; a shorter record must fail at
+    # the edge, not after a full decomposition
     s = Signal(np.sin(np.arange(n, dtype=float)), 1000.0)
     cfg = EnsembleConfig(method=method, ensemble_size=2, master_seed=0)
     with pytest.raises(ValueError, match="at least 8 samples"):
-        entry(s, cfg)
-    assert calls == []
+        diagnose(s, cfg, select=select)
+    assert decompositions == []
+
+
+# 64 samples at 1 kHz: 64 scored points, so k may be 1..62; Nyquist 500 Hz.
+EITHER_SELECTOR = {
+    "threshold-nan": ({"mi_threshold": float("nan")}, "mi_threshold must be finite"),
+    "threshold-inf": ({"mi_threshold": float("inf")}, "mi_threshold must be finite"),
+    "target-zero": ({"target_hz": 0.0}, "target_hz must lie in"),
+    "target-negative": ({"target_hz": -1.0}, "target_hz must lie in"),
+    "target-nan": ({"target_hz": float("nan")}, "target_hz must lie in"),
+    "target-nyquist": ({"target_hz": 500.0}, "target_hz must lie in"),
+    "target-huge": ({"target_hz": 1e9}, "target_hz must lie in"),
+}
+BAD_ARGUMENTS = [
+    pytest.param({"select": "entropy"}, "select must be one of", id="select"),
+    pytest.param({"k": 0}, r"k must lie in \[1, 62\]", id="mi-k-zero"),
+    pytest.param({"k": 63}, r"k must lie in \[1, 62\]", id="mi-k-too-large"),
+] + [
+    pytest.param({"select": sel, **kwargs}, message, id=f"{sel}-{case}")
+    for sel in SELECTORS for case, (kwargs, message) in EITHER_SELECTOR.items()
+]
+
+
+@pytest.mark.parametrize("kwargs,message", BAD_ARGUMENTS)
+def test_bad_argument_rejected_before_decomposing(decompositions, kwargs, message):
+    s = Signal(np.sin(np.arange(64, dtype=float)), 1000.0)
+    with pytest.raises(ValueError, match=message):
+        diagnose(s, EnsembleConfig(method="emd"), **kwargs)
+    assert decompositions == []
+
+
+def test_k_bound_follows_the_mi_stride(decompositions):
+    # 20001 samples are scored at stride 2, on 10001 points
+    s = Signal(np.sin(np.arange(20001, dtype=float)), 1000.0)
+    with pytest.raises(ValueError, match=r"\[1, 9999\] for 10001 scored points"):
+        diagnose(s, EnsembleConfig(method="emd"), k=10000)
+    assert decompositions == []
+
+
+@pytest.mark.parametrize("k", [1, 62])
+def test_k_at_either_bound_is_scored(k):
+    s = Signal(np.sin(np.arange(64, dtype=float) * 0.7) + np.arange(64) * 0.01, 1000.0)
+    report = diagnose(s, EnsembleConfig(method="emd"), k=k, target_hz=100.0)
+    assert report.mi_scores and all(score.k == k for score in report.mi_scores)
+
+
+def test_kurtosis_selection_ignores_k(decompositions):
+    s = Signal(np.sin(np.arange(64, dtype=float) * 0.7), 1000.0)
+    report = diagnose(s, EnsembleConfig(method="emd"), select="kurtosis", k=0)
+    assert report.method_variant == "kurtosis_baseline"
+    assert len(decompositions) == 1
 
 
 class TestSeparationScores:
