@@ -62,8 +62,10 @@ INVOCATIONS = [
                      *SMALL]),
     ("dec-column", ["decompose", "@inputs/values.csv", "--sample-rate", "500",
                     "--method", "emd"]),
-    # diagnose: mi and kurtosis, each with and without --target-hz
+    # diagnose: mi and kurtosis, each with and without --target-hz, and mi
+    # with the default ensemble, whose IMFs outnumber the scoring threads
     ("dia-mi", ["diagnose", "@" + DEFECT, "--method", "npceemd", *SMALL]),
+    ("dia-mi-default", ["diagnose", "@" + DEFECT, "--method", "npceemd", "--seed", "1"]),
     ("dia-mi-target", ["diagnose", "@" + DEFECT, "--method", "npceemd", "--target-hz",
                        DEFECT_HZ, "--mi-threshold", "0.05", "--k", "4", *SMALL]),
     ("dia-kurtosis", ["diagnose", "@" + DEFECT, "--method", "emd", "--select", "kurtosis"]),

@@ -10,7 +10,7 @@ from scipy.interpolate import PPoly
 from scipy.linalg import LinAlgError, get_lapack_funcs
 from scipy.signal import find_peaks
 
-from .signals import Signal
+from .signals import Signal, _peak_exponent
 
 # LAPACK's tridiagonal solver, the routine solve_banded runs for (1, 1) bands.
 (_GTSV,) = get_lapack_funcs(("gtsv",), dtype=np.float64)
@@ -202,7 +202,7 @@ def sift_mode(residue: np.ndarray, extrema: Extrema, cfg: SiftConfig) -> np.ndar
     # The Cauchy sums are taken on values scaled by 2**-e, so they cannot
     # overflow at extreme amplitudes. A power-of-two scale is exact, so
     # the ratio keeps its bits wherever the unscaled sums stayed finite.
-    e = math.frexp(float(np.max(np.abs(residue))))[1]
+    e = _peak_exponent(residue)
     h = residue
     for _ in range(cfg.max_sift_iterations):
         try:

@@ -9,9 +9,15 @@ import numpy as np
 
 from .emd import ImfSet, SiftConfig, emd, mode_extrema, sift_mode
 from .noise import FgnParams, generate_fgn, generate_white
-from .signals import Signal
+from .signals import Signal, _peak_exponent
 
 METHODS = ("emd", "eemd", "ceemd", "ceemdan", "npceemd")
+
+# Highest peak exponent sifted at its own scale. Sifting builds terms some
+# times larger than the samples (spline slopes times knot gaps, sums of
+# 2*Ne trials), so a record peaking above 2**1000 is sifted scaled down to
+# that peak by a power of two, which is exact, leaving 2**24 of headroom.
+SIFT_PEAK_EXPONENT = 1000
 
 
 @dataclass(frozen=True)
@@ -55,7 +61,7 @@ def _std(x: np.ndarray) -> float:
     """``np.std(x)`` taken on x scaled by 2**-e and scaled back by 2**e, so
     the squares neither overflow nor underflow at extreme amplitudes. A
     power-of-two scale is exact, so elsewhere the bits are np.std's."""
-    e = math.frexp(float(np.max(np.abs(x))))[1]
+    e = _peak_exponent(x)
     return math.ldexp(float(np.std(np.ldexp(x, -e))), e)
 
 
@@ -129,11 +135,23 @@ def decompose(s: Signal, cfg: EnsembleConfig) -> ImfSet:
     the configured Hurst exponent (default 0.1, rich in high frequency);
     ceemdan sifts stage-wise with adaptive noise. The fixed defaults
     (Ne=10, H=0.1, noise_scale=0.2) are the point: they are not tuned per
-    signal.
+    signal. A record peaking above 2**SIFT_PEAK_EXPONENT is sifted scaled
+    down to that peak and its modes are scaled back, exactly; a mode that
+    would then outgrow the largest float raises ValueError.
     """
+    shift = max(0, _peak_exponent(s.samples) - SIFT_PEAK_EXPONENT)
+    scaled = Signal(np.ldexp(s.samples, -shift), s.sample_rate_hz)
     if cfg.method == "emd":
-        return emd(s, cfg.sift)
-    if cfg.method == "ceemdan":
-        return _ceemdan(s, cfg)
-    signs = (1.0,) if cfg.method == "eemd" else (1.0, -1.0)
-    return _noise_ensemble(s, cfg, fractional=cfg.method == "npceemd", signs=signs)
+        imf_set = emd(scaled, cfg.sift)
+    elif cfg.method == "ceemdan":
+        imf_set = _ceemdan(scaled, cfg)
+    else:
+        signs = (1.0,) if cfg.method == "eemd" else (1.0, -1.0)
+        imf_set = _noise_ensemble(scaled, cfg, fractional=cfg.method == "npceemd", signs=signs)
+    for v in (*imf_set.imfs, imf_set.residue):
+        np.ldexp(v, shift, out=v)
+        if not np.all(np.isfinite(v)):
+            raise ValueError(
+                f"a mode of this record outgrows the largest float ({np.finfo(float).max:.3g})"
+            )
+    return imf_set

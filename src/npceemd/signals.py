@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -65,6 +66,14 @@ def _as_array(s: "Signal | np.ndarray | Sequence[float]") -> np.ndarray:
     if isinstance(s, Signal):
         return s.samples
     return np.asarray(s, dtype=np.float64)
+
+
+def _peak_exponent(x: np.ndarray) -> int:
+    """Exponent e of the largest |x| (0 when x is all zero), so x scaled by
+    2**-e peaks in [0.5, 1). A power-of-two scale is exact: arithmetic on
+    the scaled values, scaled back, keeps its bits wherever the unscaled
+    arithmetic stayed finite, and does not overflow where that did."""
+    return math.frexp(float(np.max(np.abs(x))))[1]
 
 
 def rms(s: "Signal | np.ndarray") -> float:

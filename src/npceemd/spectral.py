@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import hilbert
 
-from .signals import Signal, _as_array
+from .signals import Signal, _as_array, _peak_exponent
 
 
 # Shortest record whose analytic envelope is taken; a diagnosis needs one.
@@ -62,7 +62,10 @@ def analytic_envelope(s: "Signal | np.ndarray") -> np.ndarray:
     x = _as_array(s)
     if x.size < MIN_ENVELOPE_SAMPLES:
         raise ValueError(f"need at least {MIN_ENVELOPE_SAMPLES} samples")
-    return np.abs(hilbert(x))
+    # Transformed at a peak in [0.5, 1), so a record near the largest
+    # float does not overflow the FFT sums.
+    e = _peak_exponent(x)
+    return np.ldexp(np.abs(hilbert(np.ldexp(x, -e))), e)
 
 
 def envelope_spectrum(s: Signal) -> EnvelopeSpectrum:
@@ -71,9 +74,11 @@ def envelope_spectrum(s: Signal) -> EnvelopeSpectrum:
     The DC bin is forced to zero so it cannot dominate peak ratios.
     """
     env = analytic_envelope(s)
+    e = _peak_exponent(env)
+    env = np.ldexp(env, -e)
     env = env - env.mean()
     n = env.size
-    amplitudes = np.abs(np.fft.rfft(env)) * (2.0 / n)
+    amplitudes = np.ldexp(np.abs(np.fft.rfft(env)) * (2.0 / n), e)
     amplitudes[0] = 0.0
     frequencies = np.fft.rfftfreq(n, d=1.0 / s.sample_rate_hz)
     return EnvelopeSpectrum(frequencies, amplitudes, s.sample_rate_hz / n)

@@ -278,6 +278,23 @@ def test_power_of_two_scaling_is_exact(method, k):
         assert np.array_equal(a, np.ldexp(b, k))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("method", METHODS)
+def test_extreme_amplitude_gives_finite_modes(method, minute_440):
+    # At a peak of 2**1022 or 2**1023 the spline terms of a sift overflow
+    # unless sifting runs on a scaled copy: the modes must come back
+    # finite and be the unit-peak decomposition scaled exactly
+    x = minute_440.samples / np.max(np.abs(minute_440.samples))
+    cfg = cfg_for(method, ensemble_size=2)
+    base = decompose(Signal(x, minute_440.sample_rate_hz), cfg)
+    for k in (1022, 1023):
+        big = decompose(Signal(np.ldexp(x, k), minute_440.sample_rate_hz), cfg)
+        assert big.n_imfs == base.n_imfs
+        for a, b in zip(big.imfs + [big.residue], base.imfs + [base.residue]):
+            assert np.all(np.isfinite(a))
+            assert np.array_equal(a, np.ldexp(b, k))
+
+
 class TestConfigValidation:
     def test_method_names(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,7 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 import scipy.special
@@ -6,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from npceemd import (
+    EnsembleConfig,
     Signal,
+    diagnose,
     digamma,
     emd,
     knn_mutual_information,
@@ -14,6 +20,7 @@ from npceemd import (
     select_by_kurtosis,
     select_by_mi,
 )
+from npceemd import mi
 from npceemd.emd import ImfSet
 from npceemd.mi import (
     DegenerateData,
@@ -23,6 +30,7 @@ from npceemd.mi import (
     _break_ties,
     _strict_marginal_counts,
 )
+from conftest import DEFECT_HZ
 
 
 def gaussian_pair(rho: float, n: int, seed: int):
@@ -293,3 +301,88 @@ def test_selection_robust_to_subsampling_stride():
     )
     fine = select_by_mi(score_imfs(halved, halved_set))  # no further stride
     assert auto == fine
+
+
+def score_bits(scores):
+    return [(s.imf_index, s.value_nats.hex(), s.k, s.degenerate) for s in scores]
+
+
+def report_bits(report):
+    return (
+        score_bits(report.mi_scores),
+        report.selected_indices,
+        report.rejected_indices,
+        report.combined_signal_digest,
+        report.spectrum.amplitudes.tobytes(),
+        report.detection,
+        report.verdict,
+    )
+
+
+def with_zero_imf(imf_set):
+    zero = np.zeros(imf_set.source_length)
+    return ImfSet(imf_set.imfs + [zero], imf_set.residue, imf_set.sample_rate_hz)
+
+
+class TestConcurrentScoring:
+    """score_imfs runs one thread per IMF up to the usable CPUs; the thread
+    count must never change a bit of the scores or of a diagnosis."""
+
+    def test_scores_are_bitwise_equal_at_any_thread_count(self, monkeypatch, minute_440):
+        imf_set = with_zero_imf(emd(minute_440))
+        scorer = mi.knn_mutual_information
+        results, callers = {}, {}
+        for threads in (1, 2, 3):
+            seen = set()
+
+            def spy(*args, seen=seen):
+                seen.add(threading.get_ident())
+                return scorer(*args)
+
+            # score_imfs must call the module-level name, which tracers patch
+            monkeypatch.setattr(mi, "knn_mutual_information", spy)
+            monkeypatch.setattr(mi, "_usable_cpus", lambda threads=threads: threads)
+            results[threads] = score_bits(score_imfs(minute_440, imf_set))
+            callers[threads] = seen
+        assert results[1][-1][1:] == ((0.0).hex(), 3, True)
+        assert results[1] == results[2] == results[3]
+        main = threading.get_ident()
+        assert callers[1] == {main}
+        assert main not in callers[2] | callers[3]
+
+    def test_diagnosis_is_bitwise_equal_at_any_thread_count(self, monkeypatch, minute_440):
+        cfg = EnsembleConfig(method="npceemd", ensemble_size=2, master_seed=3)
+        reports = {}
+        for threads in (1, 2, 3):
+            monkeypatch.setattr(mi, "_usable_cpus", lambda threads=threads: threads)
+            reports[threads] = report_bits(diagnose(minute_440, cfg, target_hz=DEFECT_HZ))
+        assert reports[1] == reports[2] == reports[3]
+
+    def test_stress_many_threads_fast_switching(self, monkeypatch):
+        # more threads than cores and a thread switch every microsecond:
+        # every run must still give the serial scores, in IMF order
+        rng = np.random.default_rng(90)
+        raw = rng.standard_normal(1500)
+        arrays = [raw * (0.1 * j) + rng.standard_normal(1500) for j in range(10)]
+        arrays[4] = np.zeros(1500)
+        imf_set = small_imf_set(arrays)
+        monkeypatch.setattr(mi, "_usable_cpus", lambda: 1)
+        reference = score_bits(score_imfs(Signal(raw, 1000.0), imf_set))
+        monkeypatch.setattr(mi, "_usable_cpus", lambda: 8)
+        runs = []
+
+        def hammer():
+            deadline = time.monotonic() + 3.0
+            while len(runs) < 20 and time.monotonic() < deadline:
+                runs.append(score_bits(score_imfs(Signal(raw, 1000.0), imf_set)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker = threading.Thread(target=hammer, daemon=True)
+            worker.start()
+            worker.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive()
+        assert runs and all(run == reference for run in runs)

@@ -90,6 +90,18 @@ class TestEnvelopeSpectrum:
         )
         assert np.allclose(doubled.amplitudes, 2.0 * base.amplitudes, rtol=1e-12)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("k", [-1000, 1005, 1015])
+    def test_power_of_two_scaling_is_exact(self, k, minute_440):
+        # At 2**1015 the unscaled FFTs overflow; the spectrum must still be
+        # the unit-peak spectrum scaled by 2**k, bit for bit
+        x = minute_440.samples / np.max(np.abs(minute_440.samples))
+        rate = minute_440.sample_rate_hz
+        assert np.array_equal(np.ldexp(np.ldexp(x, k), -k), x)
+        base = envelope_spectrum(Signal(x, rate))
+        scaled = envelope_spectrum(Signal(np.ldexp(x, k), rate))
+        assert np.array_equal(scaled.amplitudes, np.ldexp(base.amplitudes, k))
+
 
 class TestDetectDefectPeak:
     def test_am_fixture_found(self):
