@@ -10,7 +10,7 @@ from scipy.interpolate import PPoly
 from scipy.linalg import LinAlgError, get_lapack_funcs
 from scipy.signal import find_peaks
 
-from .signals import Signal, _peak_exponent
+from .signals import Signal, _from_unit_peak, _to_unit_peak
 
 # LAPACK's tridiagonal solver, the routine solve_banded runs for (1, 1) bands.
 (_GTSV,) = get_lapack_funcs(("gtsv",), dtype=np.float64)
@@ -198,11 +198,8 @@ def mode_extrema(residue: np.ndarray) -> Extrema | None:
 def sift_mode(residue: np.ndarray, extrema: Extrema, cfg: SiftConfig) -> np.ndarray:
     """Sift one mode out of ``residue``, whose ``mode_extrema`` scan is
     ``extrema``, until the Cauchy SD drops below the threshold or the
-    iteration cap is reached; returns the mode."""
-    # The Cauchy sums are taken on values scaled by 2**-e, so they cannot
-    # overflow at extreme amplitudes. A power-of-two scale is exact, so
-    # the ratio keeps its bits wherever the unscaled sums stayed finite.
-    e = _peak_exponent(residue)
+    iteration cap is reached; returns the mode. Callers pass unit-scale
+    residues, so the Cauchy sums of squares cannot overflow."""
     h = residue
     for _ in range(cfg.max_sift_iterations):
         try:
@@ -211,9 +208,8 @@ def sift_mode(residue: np.ndarray, extrema: Extrema, cfg: SiftConfig) -> np.ndar
             break
         # The residue's scan serves the first pass only.
         extrema = None
-        scaled = np.ldexp(h, -e)
-        diff = np.ldexp(h - h_new, -e)
-        denom = _sum_squares(scaled)
+        diff = h - h_new
+        denom = _sum_squares(h)
         h = h_new
         if denom == 0.0:
             break
@@ -229,16 +225,17 @@ def emd(s: Signal, cfg: SiftConfig | None = None) -> ImfSet:
     three extrema) or the mode cap is reached. The element-wise sum of all
     IMFs plus the residue reconstructs the input to float round-off, since
     every mode is subtracted from the running residue in place.
-    Deterministic: identical inputs give bit-identical outputs.
+    Deterministic: identical inputs give bit-identical outputs. Sifts at a
+    unit peak and scales the modes back (``signals._to_unit_peak``); a mode
+    that then outgrows the largest float raises ValueError.
     """
     cfg = cfg or SiftConfig()
-    x = s.samples
-    limit = cfg.mode_cap(x.size)
+    residue, e = _to_unit_peak(s.samples)
+    limit = cfg.mode_cap(residue.size)
     # Below this the residue is float round-off, not structure; without the
     # guard a fully-extracted signal keeps yielding junk micro-IMFs.
-    negligible = 1e-12 * float(np.max(np.abs(x)))
+    negligible = 1e-12 * float(np.max(np.abs(residue)))
     imfs: list[np.ndarray] = []
-    residue = x.copy()
     while len(imfs) < limit:
         peak = float(np.max(np.abs(residue)))
         extrema = None if peak <= negligible else mode_extrema(residue)
@@ -247,6 +244,7 @@ def emd(s: Signal, cfg: SiftConfig | None = None) -> ImfSet:
         h = sift_mode(residue, extrema, cfg)
         imfs.append(h)
         residue = residue - h
+    _from_unit_peak(e, *imfs, residue)
     return ImfSet(imfs, residue, s.sample_rate_hz)
 
 

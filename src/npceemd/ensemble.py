@@ -2,22 +2,15 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .emd import ImfSet, SiftConfig, emd, mode_extrema, sift_mode
 from .noise import FgnParams, generate_fgn, generate_white
-from .signals import Signal, _peak_exponent
+from .signals import Signal, _from_unit_peak, _to_unit_peak
 
 METHODS = ("emd", "eemd", "ceemd", "ceemdan", "npceemd")
-
-# Highest peak exponent sifted at its own scale. Sifting builds terms some
-# times larger than the samples (spline slopes times knot gaps, sums of
-# 2*Ne trials), so a record peaking above 2**1000 is sifted scaled down to
-# that peak by a power of two, which is exact, leaving 2**24 of headroom.
-SIFT_PEAK_EXPONENT = 1000
 
 
 @dataclass(frozen=True)
@@ -57,14 +50,6 @@ def _trial_noise(cfg: EnsembleConfig, n: int, trial: int, fractional: bool) -> n
     return generate_white(1.0, n, seed)
 
 
-def _std(x: np.ndarray) -> float:
-    """``np.std(x)`` taken on x scaled by 2**-e and scaled back by 2**e, so
-    the squares neither overflow nor underflow at extreme amplitudes. A
-    power-of-two scale is exact, so elsewhere the bits are np.std's."""
-    e = _peak_exponent(x)
-    return math.ldexp(float(np.std(np.ldexp(x, -e))), e)
-
-
 def _noise_ensemble(
     s: Signal, cfg: EnsembleConfig, fractional: bool, signs: tuple[float, ...]
 ) -> ImfSet:
@@ -78,7 +63,7 @@ def _noise_ensemble(
     zero; the output count is the largest trial count.
     """
     x = s.samples
-    scale = cfg.noise_scale * _std(x)
+    scale = cfg.noise_scale * np.std(x)
     sums: list[np.ndarray] = []
     residue = np.zeros(x.size)
     for j in range(cfg.ensemble_size):
@@ -114,7 +99,7 @@ def _ceemdan(s: Signal, cfg: EnsembleConfig) -> ImfSet:
     while len(imfs) < limit:
         if mode_extrema(residue) is None:
             break
-        eps = cfg.noise_scale * _std(residue)
+        eps = cfg.noise_scale * np.std(residue)
         stage = np.zeros(n)
         for modes in noise_modes:
             k = len(imfs)
@@ -135,12 +120,12 @@ def decompose(s: Signal, cfg: EnsembleConfig) -> ImfSet:
     the configured Hurst exponent (default 0.1, rich in high frequency);
     ceemdan sifts stage-wise with adaptive noise. The fixed defaults
     (Ne=10, H=0.1, noise_scale=0.2) are the point: they are not tuned per
-    signal. A record peaking above 2**SIFT_PEAK_EXPONENT is sifted scaled
-    down to that peak and its modes are scaled back, exactly; a mode that
-    would then outgrow the largest float raises ValueError.
+    signal. Every method sifts the record at a unit peak, exactly scaled
+    (``signals._to_unit_peak``); a mode that outgrows the largest float
+    when scaled back raises ValueError.
     """
-    shift = max(0, _peak_exponent(s.samples) - SIFT_PEAK_EXPONENT)
-    scaled = Signal(np.ldexp(s.samples, -shift), s.sample_rate_hz)
+    x, e = _to_unit_peak(s.samples)
+    scaled = Signal(x, s.sample_rate_hz)
     if cfg.method == "emd":
         imf_set = emd(scaled, cfg.sift)
     elif cfg.method == "ceemdan":
@@ -148,10 +133,5 @@ def decompose(s: Signal, cfg: EnsembleConfig) -> ImfSet:
     else:
         signs = (1.0,) if cfg.method == "eemd" else (1.0, -1.0)
         imf_set = _noise_ensemble(scaled, cfg, fractional=cfg.method == "npceemd", signs=signs)
-    for v in (*imf_set.imfs, imf_set.residue):
-        np.ldexp(v, shift, out=v)
-        if not np.all(np.isfinite(v)):
-            raise ValueError(
-                f"a mode of this record outgrows the largest float ({np.finfo(float).max:.3g})"
-            )
+    _from_unit_peak(e, *imf_set.imfs, imf_set.residue)
     return imf_set

@@ -68,12 +68,21 @@ def _as_array(s: "Signal | np.ndarray | Sequence[float]") -> np.ndarray:
     return np.asarray(s, dtype=np.float64)
 
 
-def _peak_exponent(x: np.ndarray) -> int:
-    """Exponent e of the largest |x| (0 when x is all zero), so x scaled by
-    2**-e peaks in [0.5, 1). A power-of-two scale is exact: arithmetic on
-    the scaled values, scaled back, keeps its bits wherever the unscaled
-    arithmetic stayed finite, and does not overflow where that did."""
-    return math.frexp(float(np.max(np.abs(x))))[1]
+def _to_unit_peak(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """x scaled by 2**-e to a peak in [0.5, 1), and e (0 for all-zero x).
+    A power-of-two scale is exact, so arithmetic on the copy, scaled back
+    by ``_from_unit_peak``, keeps its bits wherever the unscaled arithmetic
+    stayed finite and normal, and does not overflow where that did."""
+    e = math.frexp(float(np.max(np.abs(x))))[1]
+    return np.ldexp(x, -e), e
+
+
+def _from_unit_peak(e: int, *arrays: np.ndarray) -> None:
+    """Scale each array by 2**e in place; ValueError if one outgrows the largest float."""
+    with np.errstate(over="ignore"):
+        for v in arrays:
+            if not np.all(np.isfinite(np.ldexp(v, e, out=v))):
+                raise ValueError(f"scaled by 2**{e}, a value outgrows the largest float")
 
 
 def rms(s: "Signal | np.ndarray") -> float:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import hilbert
 
-from .signals import Signal, _as_array, _peak_exponent
+from .signals import Signal, _as_array, _from_unit_peak, _to_unit_peak
 
 
 # Shortest record whose analytic envelope is taken; a diagnosis needs one.
@@ -64,22 +64,26 @@ def analytic_envelope(s: "Signal | np.ndarray") -> np.ndarray:
         raise ValueError(f"need at least {MIN_ENVELOPE_SAMPLES} samples")
     # Transformed at a peak in [0.5, 1), so a record near the largest
     # float does not overflow the FFT sums.
-    e = _peak_exponent(x)
-    return np.ldexp(np.abs(hilbert(np.ldexp(x, -e))), e)
+    unit, e = _to_unit_peak(x)
+    env = np.abs(hilbert(unit))
+    _from_unit_peak(e, env)
+    return env
 
 
 def envelope_spectrum(s: Signal) -> EnvelopeSpectrum:
     """Magnitude spectrum (2/N single-sided) of the mean-removed envelope.
 
-    The DC bin is forced to zero so it cannot dominate peak ratios.
+    The DC bin is forced to zero so it cannot dominate peak ratios. The
+    envelope of the unit-peak record is transformed and only the amplitudes
+    are scaled back, so an envelope above the record's peak cannot overflow.
     """
-    env = analytic_envelope(s)
-    e = _peak_exponent(env)
-    env = np.ldexp(env, -e)
+    unit, e = _to_unit_peak(s.samples)
+    env = analytic_envelope(unit)
     env = env - env.mean()
     n = env.size
-    amplitudes = np.ldexp(np.abs(np.fft.rfft(env)) * (2.0 / n), e)
+    amplitudes = np.abs(np.fft.rfft(env)) * (2.0 / n)
     amplitudes[0] = 0.0
+    _from_unit_peak(e, amplitudes)
     frequencies = np.fft.rfftfreq(n, d=1.0 / s.sample_rate_hz)
     return EnvelopeSpectrum(frequencies, amplitudes, s.sample_rate_hz / n)
 

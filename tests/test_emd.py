@@ -365,6 +365,18 @@ def test_emd_extreme_amplitude_scales_exactly():
     assert np.array_equal(scale * base.residue, big.residue)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("k", [-1000, -1010, -997, 1022, 1023])
+def test_emd_is_exact_at_the_float_extremes(k, minute_440):
+    # emd sifts at a unit peak, so near the largest float the spline terms
+    # cannot overflow and near the smallest normal the sifting never runs
+    # in subnormals: the modes are the unit-peak ones scaled by 2**k
+    x = minute_440.samples / np.max(np.abs(minute_440.samples))
+    base = emd(Signal(x, minute_440.sample_rate_hz))
+    out = emd(Signal(np.ldexp(x, k), minute_440.sample_rate_hz))
+    _assert_maps_exactly(out, base, lambda v: np.ldexp(v, k))
+
+
 def test_emd_respects_max_imfs():
     rng = np.random.default_rng(5)
     s = Signal(rng.standard_normal(2048), 100.0)

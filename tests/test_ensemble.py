@@ -246,10 +246,12 @@ class TestPairSymmetry:
 class TestAlignment:
     def test_differing_imf_counts_pad_with_zeros(self, monkeypatch):
         # a trial with fewer modes adds nothing to the later sums, in either
-        # order, and the output has as many modes as the longest trial
+        # order, and the output has as many modes as the longest trial. The
+        # record peaks in [0.5, 1), so decompose's unit-peak scale is 2**0
+        # and the mocked unit-scale trials come back unscaled
         n = 64
         ones = np.ones(n)
-        s = Signal(np.arange(n, dtype=float), 10.0)
+        s = Signal(np.arange(n) / n, 10.0)
         for order in ("short-long", "long-short"):
             short = ImfSet([ones.copy()], np.zeros(n), 10.0)
             long = ImfSet([ones.copy(), 2.0 * ones], np.ones(n), 10.0)
@@ -281,13 +283,14 @@ def test_power_of_two_scaling_is_exact(method, k):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("method", METHODS)
 def test_extreme_amplitude_gives_finite_modes(method, minute_440):
-    # At a peak of 2**1022 or 2**1023 the spline terms of a sift overflow
-    # unless sifting runs on a scaled copy: the modes must come back
-    # finite and be the unit-peak decomposition scaled exactly
+    # At a peak of 2**1022 or 2**1023 the spline terms of a sift overflow,
+    # and near 2**-1000 its terms sink into subnormals, unless sifting runs
+    # on a unit-peak copy: the modes must come back finite and be the
+    # unit-peak decomposition scaled exactly
     x = minute_440.samples / np.max(np.abs(minute_440.samples))
     cfg = cfg_for(method, ensemble_size=2)
     base = decompose(Signal(x, minute_440.sample_rate_hz), cfg)
-    for k in (1022, 1023):
+    for k in (-1010, -997, 1022, 1023):
         big = decompose(Signal(np.ldexp(x, k), minute_440.sample_rate_hz), cfg)
         assert big.n_imfs == base.n_imfs
         for a, b in zip(big.imfs + [big.residue], base.imfs + [base.residue]):

@@ -91,16 +91,21 @@ class TestEnvelopeSpectrum:
         assert np.allclose(doubled.amplitudes, 2.0 * base.amplitudes, rtol=1e-12)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("k", [-1000, 1005, 1015])
+    @pytest.mark.parametrize("k", [-1000, 1005, 1015, 1022, 1023])
     def test_power_of_two_scaling_is_exact(self, k, minute_440):
         # At 2**1015 the unscaled FFTs overflow; the spectrum must still be
-        # the unit-peak spectrum scaled by 2**k, bit for bit
-        x = minute_440.samples / np.max(np.abs(minute_440.samples))
+        # the unit-peak spectrum scaled by 2**k, bit for bit. The square
+        # wave's envelope peaks at 4.2 times the record next to each jump, so
+        # at 2**1022 it outgrows the largest float unless it is formed at
+        # the unit peak
+        square = np.where(np.arange(4096) // 256 % 2 == 0, 0.999, -0.999)
+        specimen = minute_440.samples / np.max(np.abs(minute_440.samples))
         rate = minute_440.sample_rate_hz
-        assert np.array_equal(np.ldexp(np.ldexp(x, k), -k), x)
-        base = envelope_spectrum(Signal(x, rate))
-        scaled = envelope_spectrum(Signal(np.ldexp(x, k), rate))
-        assert np.array_equal(scaled.amplitudes, np.ldexp(base.amplitudes, k))
+        for x in (specimen, square):
+            assert np.array_equal(np.ldexp(np.ldexp(x, k), -k), x)
+            base = envelope_spectrum(Signal(x, rate))
+            scaled = envelope_spectrum(Signal(np.ldexp(x, k), rate))
+            assert np.array_equal(scaled.amplitudes, np.ldexp(base.amplitudes, k))
 
 
 class TestDetectDefectPeak:
