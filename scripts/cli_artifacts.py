@@ -82,9 +82,10 @@ INVOCATIONS = [
                       "--methods", "eemd", "--ensemble-grid", "1,2", "--max-imfs", "3"]),
     ("cmp-method", ["compare", "--fixture", "combined", "--method", "emd", "--max-imfs", "2"]),
     # exit 2: flags a fixture does not read, a sample rate of 0, a sample
-    # count that is not finite or above the cap, a flag before the fixture
-    # name, grids with an invalid point, diagnose arguments it checks before
-    # decomposing, and a sample rate given beside a time column
+    # count that is not finite or above the cap, a burst parameter that is
+    # not finite, a flag before the fixture name, grids with an invalid point,
+    # diagnose arguments it checks before decomposing, a sample rate given
+    # beside a time column, and an infinite sample rate
     ("x-tone-snr-rate", ["simulate", "tone", "--sample-rate", "5000", "--snr-db", "-10"]),
     ("x-impulses-fm", ["simulate", "impulses", "--fm", "30"]),
     ("x-combined-severity", ["simulate", "combined", "--severity", "2"]),
@@ -96,6 +97,10 @@ INVOCATIONS = [
     ("x-rate-inf", ["simulate", "defect", "--seed", "1", "--sample-rate", "inf"]),
     ("x-duration-inf", ["simulate", "defect", "--seed", "1", "--duration", "inf"]),
     ("x-rate-huge", ["simulate", "defect", "--seed", "1", "--sample-rate", "1e12"]),
+    ("x-noise-sigma-nan", ["simulate", "defect", "--seed", "1", "--noise-sigma", "nan"]),
+    ("x-jitter-nan", ["simulate", "defect", "--seed", "1", "--jitter-frac", "nan"]),
+    ("x-decay-inf", ["simulate", "defect", "--seed", "1", "--decay", "inf"]),
+    ("x-t-prime-inf", ["simulate", "defect", "--seed", "1", "--t-prime", "inf"]),
     ("x-seed-first", ["simulate", "--seed", "4", "tone"]),
     ("x-unknown-fixture", ["simulate", "wavelet"]),
     ("x-noisy-unseeded", ["simulate", "combined-noisy"]),
@@ -112,6 +117,10 @@ INVOCATIONS = [
                               "1e9"]),
     ("x-dia-rate-timed", ["diagnose", "@" + DEFECT, "--method", "emd", "--sample-rate",
                           "123"]),
+    ("x-dec-rate-inf", ["decompose", "@inputs/values.csv", "--sample-rate", "inf",
+                        "--method", "emd"]),
+    ("x-dia-rate-inf", ["diagnose", "@inputs/values.csv", "--sample-rate", "inf",
+                        "--method", "emd"]),
 ]
 
 

@@ -7,13 +7,12 @@ from .emd import ImfSet, SiftConfig, emd, find_extrema, sift_once, spline_envelo
 from .ensemble import EnsembleConfig, decompose
 from .mi import (
     MiScore,
-    digamma,
     knn_mutual_information,
     score_imfs,
     select_by_kurtosis,
     select_by_mi,
 )
-from .noise import FgnParams, fgn_autocovariance, generate_fgn, generate_white
+from .noise import fgn_autocovariance, generate_fgn, generate_white
 from .pipeline import (
     Component,
     DiagnosisReport,
@@ -43,9 +42,9 @@ __all__ = [
     "__version__",
     "Signal", "rms", "kurtosis", "mix_to_snr",
     "SiftConfig", "ImfSet", "find_extrema", "spline_envelope", "sift_once", "emd",
-    "FgnParams", "fgn_autocovariance", "generate_fgn", "generate_white",
+    "fgn_autocovariance", "generate_fgn", "generate_white",
     "EnsembleConfig", "decompose",
-    "MiScore", "digamma", "knn_mutual_information", "score_imfs",
+    "MiScore", "knn_mutual_information", "score_imfs",
     "select_by_mi", "select_by_kurtosis",
     "EnvelopeSpectrum", "PeakDetection", "analytic_envelope",
     "envelope_spectrum", "detect_defect_peak",

@@ -177,7 +177,7 @@ def read_signal_csv(path: str, sample_rate_hz: float | None = None) -> Signal:
                          "the time column sets the rate")
     times, values = data[:, 0], data[:, 1]
     dt = np.diff(times)
-    if dt.size == 0 or np.any(dt <= 0):
+    if dt.size == 0 or not np.all(dt > 0):
         raise ParseError(f"{path}: time column must be strictly increasing")
     spread = float(dt.max() - dt.min())
     median_dt = float(np.median(dt))

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .emd import ImfSet, SiftConfig, emd, mode_extrema, sift_mode
-from .noise import FgnParams, generate_fgn, generate_white
+from .noise import generate_fgn, generate_white
 from .signals import Signal, _from_unit_peak, _to_unit_peak
 
 METHODS = ("emd", "eemd", "ceemd", "ceemdan", "npceemd")
@@ -46,8 +46,8 @@ def _trial_noise(cfg: EnsembleConfig, n: int, trial: int, fractional: bool) -> n
     so scheduling can never change results."""
     seed = (int(cfg.master_seed), trial)
     if fractional:
-        return generate_fgn(FgnParams(hurst=cfg.hurst, sigma=1.0, length=n, seed=seed))
-    return generate_white(1.0, n, seed)
+        return generate_fgn(cfg.hurst, n, seed)
+    return generate_white(n, seed)
 
 
 def _noise_ensemble(

@@ -8,15 +8,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special
 from scipy.spatial import cKDTree
+from scipy.special import digamma
 
 from .emd import ImfSet
 from .signals import Signal, ZeroVariance, kurtosis
-
-
-class DomainError(ValueError):
-    """Argument outside the function's domain."""
 
 
 class TooFewSamples(ValueError):
@@ -38,19 +34,6 @@ MAX_MI_SAMPLES = 20000
 
 # Fixed salt so the tie-breaking jitter is reproducible run to run.
 _JITTER_SALT = 0x9E3779B9
-
-
-def digamma(x: "float | np.ndarray") -> "float | np.ndarray":
-    """Digamma of positive finite arguments, by ``scipy.special.digamma``.
-
-    Returns a float for a scalar and an array of the input's shape
-    otherwise. Raises DomainError for non-positive or non-finite input.
-    """
-    arr = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-        raise DomainError("digamma requires positive finite arguments")
-    psi = scipy.special.digamma(arr)
-    return float(psi) if arr.ndim == 0 else psi
 
 
 def _break_ties(a: np.ndarray, stream: int) -> np.ndarray:
@@ -143,7 +126,7 @@ def knn_mutual_information(x: np.ndarray, y: np.ndarray, k: int = KSG_K) -> floa
     nx = _strict_marginal_counts(xv, eps)
     ny = _strict_marginal_counts(yv, eps)
     psi_marginals = np.mean(digamma(nx + 1.0) + digamma(ny + 1.0))
-    return float(digamma(float(n)) + digamma(float(k)) - psi_marginals)
+    return float(digamma(n) + digamma(k) - psi_marginals)
 
 
 @dataclass(frozen=True)

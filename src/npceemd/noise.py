@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,65 +17,47 @@ class LengthTooLarge(ValueError):
     """Requested length exceeds the circulant-embedding memory cap."""
 
 
-@dataclass(frozen=True)
-class FgnParams:
-    """Parameters of one fractional Gaussian noise realization."""
+def fgn_autocovariance(hurst: float, lag: int | np.ndarray) -> float | np.ndarray:
+    """Closed-form autocovariance of unit-variance fGn at an integer lag or
+    array of lags.
 
-    hurst: float
-    sigma: float
-    length: int
-    seed: Seed
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.hurst < 1.0:
-            raise ValueError("hurst must lie strictly inside (0, 1)")
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
-        if self.length < 1:
-            raise ValueError("length must be positive")
-
-
-def fgn_autocovariance(hurst: float, sigma: float, lag: int | np.ndarray) -> float | np.ndarray:
-    """Closed-form autocovariance of fGn at an integer lag or array of lags.
-
-    (sigma^2 / 2) * (|k-1|^(2H) - 2|k|^(2H) + |k+1|^(2H)), a float for a
-    scalar lag; equals sigma^2 at lag 0 and vanishes for positive lags when H = 0.5.
+    (|k-1|^(2H) - 2|k|^(2H) + |k+1|^(2H)) / 2, a float for a scalar lag;
+    equals 1 at lag 0 and vanishes for positive lags when H = 0.5.
     """
     if not 0.0 < hurst < 1.0:
         raise ValueError("hurst must lie strictly inside (0, 1)")
     k = np.abs(np.asarray(lag, dtype=np.float64))
     h2 = 2.0 * hurst
-    gamma = 0.5 * sigma * sigma * (np.abs(k - 1.0) ** h2 - 2.0 * k**h2 + (k + 1.0) ** h2)
+    gamma = 0.5 * (np.abs(k - 1.0) ** h2 - 2.0 * k**h2 + (k + 1.0) ** h2)
     return float(gamma) if gamma.ndim == 0 else gamma
 
 
-def generate_white(sigma: float, length: int, seed: Seed) -> np.ndarray:
-    """I.i.d. Gaussian(0, sigma^2) samples, deterministic for a fixed seed."""
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
+def generate_white(length: int, seed: Seed) -> np.ndarray:
+    """I.i.d. standard normal samples, deterministic for a fixed seed."""
     if length < 1:
         raise ValueError("length must be positive")
-    rng = np.random.default_rng(seed)
-    return sigma * rng.standard_normal(length)
+    return np.random.default_rng(seed).standard_normal(length)
 
 
-def generate_fgn(p: FgnParams) -> np.ndarray:
-    """Fractional Gaussian noise via circulant embedding of the covariance.
+def generate_fgn(hurst: float, length: int, seed: Seed) -> np.ndarray:
+    """Unit-variance fractional Gaussian noise via circulant embedding of the
+    covariance.
 
     The first row of the 2N-circulant holds the target autocovariance, so
     the synthesized sequence has exactly that covariance (not an
-    approximation). The unit-variance draw is scaled by ``sigma`` at the
-    end, which makes output exactly linear in ``sigma`` for a fixed seed.
+    approximation).
 
     Spectral eigenvalues that go slightly negative from float round-off
     are clamped to zero; a warning is emitted if the clamped magnitude is
     more than 1e-8 of the largest eigenvalue.
     """
-    n = p.length
+    n = length
+    if n < 1:
+        raise ValueError("length must be positive")
     if n > MAX_FGN_LENGTH:
         raise LengthTooLarge(f"length {n} exceeds cap {MAX_FGN_LENGTH}")
     m = 2 * n
-    gamma = fgn_autocovariance(p.hurst, 1.0, np.arange(n + 1))
+    gamma = fgn_autocovariance(hurst, np.arange(n + 1))
     row = np.concatenate((gamma, gamma[-2:0:-1]))
     lam = np.fft.fft(row).real
     negative = lam < 0.0
@@ -88,7 +69,7 @@ def generate_fgn(p: FgnParams) -> np.ndarray:
                 RuntimeWarning,
             )
         lam = np.where(negative, 0.0, lam)
-    rng = np.random.default_rng(p.seed)
+    rng = np.random.default_rng(seed)
     z = np.empty(m, dtype=np.complex128)
     z[0] = rng.standard_normal()
     z[n] = rng.standard_normal()
@@ -96,5 +77,4 @@ def generate_fgn(p: FgnParams) -> np.ndarray:
         ab = rng.standard_normal((n - 1, 2))
         z[1:n] = (ab[:, 0] + 1j * ab[:, 1]) / np.sqrt(2.0)
         z[n + 1 :] = np.conj(z[1:n][::-1])
-    x = np.sqrt(m) * np.fft.ifft(np.sqrt(lam) * z).real[:n]
-    return p.sigma * x
+    return np.sqrt(m) * np.fft.ifft(np.sqrt(lam) * z).real[:n]

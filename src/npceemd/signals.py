@@ -26,7 +26,7 @@ class Signal:
     """Uniformly sampled real-valued time series.
 
     Samples are coerced to a float64 array and must be finite, at least
-    four long, with a strictly positive sample rate.
+    four long, with a finite, strictly positive sample rate.
     """
 
     samples: np.ndarray
@@ -41,8 +41,8 @@ class Signal:
         if not np.all(np.isfinite(samples)):
             raise ValueError("samples must all be finite")
         rate = float(self.sample_rate_hz)
-        if not rate > 0:
-            raise ValueError("sample_rate_hz must be positive")
+        if not (rate > 0 and math.isfinite(rate)):
+            raise ValueError("sample_rate_hz must be finite and positive")
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "sample_rate_hz", rate)
 

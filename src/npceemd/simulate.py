@@ -88,6 +88,12 @@ class DefectSimParams:
     seed: Seed = 0
 
     def __post_init__(self) -> None:
+        # A NaN or infinite value here would not fail later: it silently drops
+        # the bursts or the noise. The rate and duration are checked below.
+        for name in ("f_m", "T_prime", "f_n", "B", "amplitude_scale", "jitter_frac",
+                     "noise_sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not self.f_n < self.sample_rate_hz / 2.0:
             raise ValueError("resonance frequency must be below Nyquist")
         if not self.T_prime > 1.0 / self.f_n:

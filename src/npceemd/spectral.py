@@ -14,8 +14,12 @@ from .signals import Signal, _as_array, _from_unit_peak, _to_unit_peak
 # Shortest record whose analytic envelope is taken; a diagnosis needs one.
 MIN_ENVELOPE_SAMPLES = 8
 
-# A peak counts when it exceeds this multiple of the spectral floor.
+# A peak counts when it exceeds this multiple of the spectral floor; each of
+# the first N_HARMONICS multiples of the target is matched when it exceeds
+# HARMONIC_RATIO_THRESHOLD times its own floor.
 PEAK_RATIO_THRESHOLD = 5.0
+HARMONIC_RATIO_THRESHOLD = 3.0
+N_HARMONICS = 3
 
 
 class TargetAboveNyquist(ValueError):
@@ -118,23 +122,15 @@ def _local_floor(spec: EnvelopeSpectrum, center: int, half_width: int) -> float:
     return float(np.median(spread))
 
 
-def detect_defect_peak(
-    spec: EnvelopeSpectrum,
-    target_hz: float,
-    n_harmonics: int = 3,
-    peak_ratio_threshold: float = PEAK_RATIO_THRESHOLD,
-    harmonic_ratio_threshold: float = 3.0,
-) -> PeakDetection:
+def detect_defect_peak(spec: EnvelopeSpectrum, target_hz: float) -> PeakDetection:
     """Test for a defect peak at the target frequency and its harmonics.
 
     ``found`` is true when the largest amplitude within one bin of the
-    target exceeds ``peak_ratio_threshold`` times the local median floor
+    target exceeds ``PEAK_RATIO_THRESHOLD`` times the local median floor
     around the target. ``matched_bins`` lists the spectrum bin of each of
-    the first ``n_harmonics`` multiples of the target that clears
-    ``harmonic_ratio_threshold`` times its own local floor.
+    the first ``N_HARMONICS`` multiples of the target that clears
+    ``HARMONIC_RATIO_THRESHOLD`` times its own local floor.
     """
-    if n_harmonics < 1:
-        raise ValueError("n_harmonics must be >= 1")
     if not target_hz > 0:
         raise ValueError("target_hz must be positive")
     if target_hz >= spec.nyquist_hz:
@@ -153,15 +149,15 @@ def detect_defect_peak(
 
     _, peak_ratio = examine(target_hz)
     matched: list[int] = []
-    for multiple in range(1, n_harmonics + 1):
+    for multiple in range(1, N_HARMONICS + 1):
         f_h = multiple * target_hz
         if f_h >= spec.nyquist_hz:
             break
         bin_h, ratio_h = examine(f_h)
-        if ratio_h > harmonic_ratio_threshold:
+        if ratio_h > HARMONIC_RATIO_THRESHOLD:
             matched.append(bin_h)
     return PeakDetection(
-        found=peak_ratio > peak_ratio_threshold,
+        found=peak_ratio > PEAK_RATIO_THRESHOLD,
         peak_ratio=peak_ratio,
         matched_bins=tuple(matched),
     )

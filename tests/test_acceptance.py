@@ -18,17 +18,16 @@ import time
 
 import numpy as np
 import pytest
+from scipy.special import digamma
 from scipy.stats import spearmanr
 
 from npceemd import (
     Component,
     EnsembleConfig,
-    FgnParams,
     Signal,
     analytic_envelope,
     detect_defect_peak,
     diagnose,
-    digamma,
     emd,
     envelope_spectrum,
     gen_combined,
@@ -177,18 +176,16 @@ def test_criterion_2_fgn_exactness():
         reps, n = 200, 4096
         values = np.zeros((reps, 6))
         for r in range(reps):
-            g = generate_fgn(
-                FgnParams(hurst=hurst, sigma=1.0, length=n, seed=(2025, r))
-            )
+            g = generate_fgn(hurst, n, (2025, r))
             values[r, 0] = np.mean(g * g)
             for lag in range(1, 6):
                 values[r, lag] = np.mean(g[:-lag] * g[lag:])
         mean = values.mean(axis=0)
         stderr = values.std(axis=0, ddof=1) / np.sqrt(reps)
         for lag in range(6):
-            theory = fgn_autocovariance(hurst, 1.0, lag)
+            theory = fgn_autocovariance(hurst, lag)
             worst_z = max(worst_z, abs(mean[lag] - theory) / stderr[lag])
-    white = generate_fgn(FgnParams(hurst=0.5, sigma=1.0, length=100_000, seed=11))
+    white = generate_fgn(0.5, 100_000, 11)
     lag1 = float(np.mean(white[:-1] * white[1:]) / np.var(white))
     ok = worst_z <= 3.0 and abs(lag1) <= 0.013
     assert record(

@@ -129,6 +129,13 @@ class TestReadSignalCsv:
         with pytest.raises(ParseError):
             read_signal_csv(str(path))
 
+    def test_nan_in_time_column_names_the_file(self, tmp_path):
+        # NaN compares false both ways, so a "dt <= 0" test would let it pass
+        path = tmp_path / "nan_time.csv"
+        path.write_text("time,value\n0.0,1.0\nnan,2.0\n0.002,3.0\n0.003,1.0\n")
+        with pytest.raises(ParseError, match="nan_time.csv"):
+            read_signal_csv(str(path))
+
     def test_comment_lines_skipped(self, tmp_path):
         path = tmp_path / "commented.csv"
         path.write_text("# manifest: {}\nvalue\n1.0\n2.0\n3.0\n4.0\n")
@@ -289,6 +296,25 @@ def test_diagnose_inconclusive_exit_code(tmp_path, tone_csv):
     assert code == EXIT_INCONCLUSIVE
     report = json.loads((out / "report.json").read_text())
     assert report["report"]["verdict"] == "INCONCLUSIVE_EMPTY_SELECTION"
+
+
+@pytest.mark.parametrize("command", ["decompose", "diagnose"])
+@pytest.mark.parametrize("timed", [False, True], ids=["rate-inf", "spacing-5e-324"])
+def test_infinite_sample_rate_is_a_usage_error(tmp_path, command, timed):
+    # a rate of inf, given or from a time column spaced 5e-324 apart, gives
+    # envelope-spectrum bins of zero width
+    path = tmp_path / "values.csv"
+    values = np.sin(np.arange(64) * 0.3).tolist()
+    if timed:
+        rows = "\n".join(f"{k * 5e-324!r},{v!r}" for k, v in enumerate(values))
+        path.write_text("time,value\n" + rows + "\n")
+        rate = []
+    else:
+        path.write_text("value\n" + "\n".join(map(repr, values)) + "\n")
+        rate = ["--sample-rate", "inf"]
+    code = run(command, str(path), *rate, "--method", "emd", "--out", str(tmp_path / "out"))
+    assert code == EXIT_USAGE
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

@@ -126,6 +126,36 @@ def test_emd_sign_flip_and_power_of_two_scaling_are_exact(seed, n, thirds, k):
     _assert_maps_exactly(emd(Signal(scale * x, 100.0)), base, lambda v: scale * v)
 
 
+def _reversal_record(record, minute_440):
+    if record == "two-tone":
+        k = np.arange(4096)
+        return np.sin(0.05 * k) + 0.3 * np.sin(0.7 * k)
+    if record == "specimen":
+        return minute_440.samples
+    return np.random.default_rng(int(record.split("-")[1])).standard_normal(2048)
+
+
+@pytest.mark.parametrize(
+    "sift",
+    [SiftConfig(), SiftConfig(max_sift_iterations=10, sd_threshold=1e-12)],
+    ids=["sd-stop", "ten-sifts"],
+)
+@pytest.mark.parametrize("record", ["two-tone", "specimen", *(f"normal-{s}" for s in range(6))])
+def test_emd_commutes_with_time_reversal(record, sift, minute_440):
+    # Reversal reorders the roundings of the spline solves and the sums, not
+    # the sifting itself, so the modes of the reversed record are the
+    # reversed modes to round-off (1.5e-15 at most here). The records are
+    # plateau-free: a plateau's extremum is its midpoint rounded down, which
+    # reversal moves by one sample.
+    x = _reversal_record(record, minute_440)
+    base = emd(Signal(x, 100.0), sift)
+    out = emd(Signal(x[::-1], 100.0), sift)
+    assert out.n_imfs == base.n_imfs
+    peak = np.max(np.abs(x))
+    for a, b in zip(out.imfs + [out.residue], base.imfs + [base.residue]):
+        assert np.max(np.abs(a[::-1] - b)) <= 1e-12 * peak
+
+
 @pytest.mark.parametrize(
     "indices", [[30, 10, 50], [10, 30, 30, 50]], ids=["unsorted", "duplicate"]
 )

@@ -4,8 +4,8 @@ import time
 
 import numpy as np
 import pytest
-import scipy.special
 from scipy.spatial import cKDTree
+from scipy.special import digamma
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +13,6 @@ from npceemd import (
     EnsembleConfig,
     Signal,
     diagnose,
-    digamma,
     emd,
     knn_mutual_information,
     score_imfs,
@@ -24,7 +23,6 @@ from npceemd import mi
 from npceemd.emd import ImfSet
 from npceemd.mi import (
     DegenerateData,
-    DomainError,
     MiScore,
     TooFewSamples,
     _break_ties,
@@ -43,33 +41,6 @@ def gaussian_pair(rho: float, n: int, seed: int):
 
 def gaussian_mi(rho: float) -> float:
     return -0.5 * np.log(1.0 - rho * rho)
-
-
-class TestDigamma:
-    def test_recurrence_identity(self):
-        for x in (1.0, 2.5, 10.0):
-            assert digamma(x + 1.0) - digamma(x) == pytest.approx(1.0 / x, abs=1e-10)
-
-    def test_value_at_one_is_minus_euler_gamma(self):
-        assert digamma(1.0) == pytest.approx(-0.5772156649015329, abs=1e-12)
-
-    def test_value_at_two(self):
-        assert digamma(2.0) == pytest.approx(1.0 - 0.5772156649015329, abs=1e-12)
-
-    def test_matches_scipy_across_range(self):
-        xs = np.concatenate((np.linspace(0.05, 2.0, 40), np.linspace(2.0, 500.0, 60)))
-        assert np.max(np.abs(digamma(xs) - scipy.special.digamma(xs))) < 1e-10
-
-    def test_domain_error(self):
-        with pytest.raises(DomainError):
-            digamma(0.0)
-        with pytest.raises(DomainError):
-            digamma(np.array([1.0, -2.0]))
-
-    @given(x=st.floats(0.1, 60.0))
-    @settings(max_examples=60, deadline=None)
-    def test_recurrence_property(self, x):
-        assert digamma(x + 1.0) - digamma(x) == pytest.approx(1.0 / x, abs=1e-10)
 
 
 class TestKnnMutualInformation:

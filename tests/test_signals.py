@@ -18,6 +18,14 @@ def test_signal_rejects_short_nonfinite_and_bad_rate():
         Signal(np.zeros(8), 0.0)
 
 
+@pytest.mark.parametrize("rate", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+def test_signal_rejects_a_non_finite_rate(rate):
+    # an infinite rate gives bin spacings of zero, which the envelope
+    # spectrum divides by
+    with pytest.raises(ValueError, match="finite"):
+        Signal(np.zeros(8), rate)
+
+
 def test_rms_all_zero():
     assert rms(Signal(np.zeros(16), 10.0)) == 0.0
 
