@@ -71,6 +71,9 @@ INVOCATIONS = [
     ("dia-kurtosis", ["diagnose", "@" + DEFECT, "--method", "emd", "--select", "kurtosis"]),
     ("dia-kurtosis-target", ["diagnose", "@" + DEFECT, "--method", "eemd", "--select",
                              "kurtosis", "--target-hz", DEFECT_HZ, *SMALL]),
+    # a tied record whose peak is the largest power of two
+    ("dia-alt-max", ["diagnose", "@inputs/alt_max.csv", "--sample-rate", "1000",
+                     "--method", "emd"]),
     # compare: the method, Hurst and ensemble grids
     ("cmp-methods", ["compare", "--fixture", "combined", "--methods",
                      "emd,eemd,ceemd,ceemdan,npceemd", "--seed", "0", "--ensemble", "1",
@@ -85,7 +88,8 @@ INVOCATIONS = [
     # count that is not finite or above the cap, a burst parameter that is
     # not finite, a flag before the fixture name, grids with an invalid point,
     # diagnose arguments it checks before decomposing, a sample rate given
-    # beside a time column, and an infinite sample rate
+    # beside a time column, and an infinite sample rate, given or from a
+    # time column spaced by the smallest subnormal
     ("x-tone-snr-rate", ["simulate", "tone", "--sample-rate", "5000", "--snr-db", "-10"]),
     ("x-impulses-fm", ["simulate", "impulses", "--fm", "30"]),
     ("x-combined-severity", ["simulate", "combined", "--severity", "2"]),
@@ -121,15 +125,22 @@ INVOCATIONS = [
                         "--method", "emd"]),
     ("x-dia-rate-inf", ["diagnose", "@inputs/values.csv", "--sample-rate", "inf",
                         "--method", "emd"]),
+    ("x-timed-tiny-dt", ["decompose", "@inputs/tiny_dt.csv", "--method", "emd"]),
 ]
 
 
 def write_inputs(out: str) -> None:
-    """A single-column record, which `simulate` does not write."""
+    """Records `simulate` does not write: two single-column ones (the second
+    alternates +-2**1023) and a time column spaced by 5e-324."""
     os.makedirs(os.path.join(out, "inputs"))
-    values = [repr(((k * 7919) % 101 - 50) / 25.0) for k in range(400)]
-    with open(os.path.join(out, "inputs", "values.csv"), "w") as fh:
-        fh.write("value\n" + "\n".join(values) + "\n")
+    inputs = {
+        "values.csv": ["value"] + [repr(((k * 7919) % 101 - 50) / 25.0) for k in range(400)],
+        "alt_max.csv": [repr((-1.0) ** k * 2.0**1023) for k in range(8)],
+        "tiny_dt.csv": ["time,value"] + [f"{k * 5e-324!r},{k % 3}" for k in range(8)],
+    }
+    for name, lines in inputs.items():
+        with open(os.path.join(out, "inputs", name), "w") as fh:
+            fh.write("\n".join(lines) + "\n")
 
 
 def main() -> int:

@@ -59,30 +59,19 @@ class InternalCheckFailed(RuntimeError):
     """A module invariant was violated at runtime."""
 
 
-@dataclass(frozen=True)
-class RunManifest:
+def _manifest(args: argparse.Namespace, config: dict, input_digest: str) -> dict:
     """Reproducibility header serialized into every output artifact."""
-
-    command: str
-    config: dict
-    input_digest: str
-    tool_version: str
-    seed: int | None
-
-
-def _manifest(args: argparse.Namespace, config: dict, input_digest: str) -> RunManifest:
-    return RunManifest(
-        command=args.command,
-        config=config,
-        input_digest=input_digest,
-        tool_version=__version__,
-        seed=args.seed,
-    )
+    return {
+        "command": args.command,
+        "config": config,
+        "input_digest": input_digest,
+        "tool_version": __version__,
+        "seed": args.seed,
+    }
 
 
-def _manifest_line(manifest: RunManifest) -> str:
-    payload = json.dumps(dataclasses.asdict(manifest), sort_keys=True)
-    return f"# manifest: {payload}"
+def _manifest_line(manifest: dict) -> str:
+    return f"# manifest: {json.dumps(manifest, sort_keys=True)}"
 
 
 def _atomic_write(path: str, lines: Iterable[str]) -> None:
@@ -100,7 +89,7 @@ def _atomic_write(path: str, lines: Iterable[str]) -> None:
 
 
 def _write_csv(
-    path: str, manifest: RunManifest, header: Iterable[str], rows: Iterable[Iterable]
+    path: str, manifest: dict, header: Iterable[str], rows: Iterable[Iterable]
 ) -> None:
     """Manifest line, header, then one line per row of Python scalars.
 
@@ -112,8 +101,8 @@ def _write_csv(
     _atomic_write(path, itertools.chain((_manifest_line(manifest), ",".join(header)), body))
 
 
-def _write_json(path: str, manifest: RunManifest, payload: dict) -> None:
-    document = {"manifest": dataclasses.asdict(manifest), **payload}
+def _write_json(path: str, manifest: dict, payload: dict) -> None:
+    document = {"manifest": manifest, **payload}
     _atomic_write(path, [json.dumps(document, sort_keys=True, indent=1)])
 
 
@@ -171,26 +160,35 @@ def read_signal_csv(path: str, sample_rate_hz: float | None = None) -> Signal:
             raise ParseError(
                 f"{path}: single-column input requires --sample-rate"
             )
-        return Signal(data[:, 0], sample_rate_hz)
-    if sample_rate_hz is not None:
+        rate = sample_rate_hz
+    elif sample_rate_hz is not None:
         raise ParseError(f"{path}: --sample-rate is for single-column input; "
                          "the time column sets the rate")
-    times, values = data[:, 0], data[:, 1]
-    dt = np.diff(times)
-    if dt.size == 0 or not np.all(dt > 0):
-        raise ParseError(f"{path}: time column must be strictly increasing")
-    spread = float(dt.max() - dt.min())
-    median_dt = float(np.median(dt))
-    if spread > 1e-6 * median_dt:
-        raise ParseError(f"{path}: nonuniform sample spacing ({spread:.3e} s jitter)")
-    return Signal(values, 1.0 / median_dt)
+    else:
+        # A non-finite time gives a nan or inf step, and so does a step
+        # past the largest float; both are rejected here, not warned about.
+        with np.errstate(over="ignore", invalid="ignore"):
+            dt = np.diff(data[:, 0])
+        if not np.all(np.isfinite(dt)):
+            raise ParseError(f"{path}: time column must be finite, with finite steps")
+        if dt.size == 0 or not np.all(dt > 0):
+            raise ParseError(f"{path}: time column must be strictly increasing")
+        spread = float(dt.max() - dt.min())
+        median_dt = float(np.median(dt))
+        if spread > 1e-6 * median_dt:
+            raise ParseError(f"{path}: nonuniform sample spacing ({spread:.3e} s jitter)")
+        rate = 1.0 / median_dt
+    try:
+        return Signal(data[:, -1], rate)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
-def _write_signal_csv(path: str, manifest: RunManifest, s: Signal) -> None:
+def _write_signal_csv(path: str, manifest: dict, s: Signal) -> None:
     _write_csv(path, manifest, ["time", "value"], zip(s.times().tolist(), s.samples.tolist()))
 
 
-def _write_run(path: str, manifest: RunManifest, run: DegradationRun) -> None:
+def _write_run(path: str, manifest: dict, run: DegradationRun) -> None:
     """One CSV per specimen, the index at ``path``, and the RMS trend."""
     out = os.path.dirname(path)
     minutes = range(1, len(run.specimens) + 1)

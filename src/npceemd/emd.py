@@ -57,7 +57,6 @@ class ImfSet:
 
     imfs: list[np.ndarray]
     residue: np.ndarray
-    sample_rate_hz: float
 
     def __post_init__(self) -> None:
         for imf in self.imfs:
@@ -245,7 +244,7 @@ def emd(s: Signal, cfg: SiftConfig | None = None) -> ImfSet:
         imfs.append(h)
         residue = residue - h
     _from_unit_peak(e, *imfs, residue)
-    return ImfSet(imfs, residue, s.sample_rate_hz)
+    return ImfSet(imfs, residue)
 
 
 def zero_crossings(x: np.ndarray) -> int:

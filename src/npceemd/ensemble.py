@@ -75,7 +75,7 @@ def _noise_ensemble(
                 total += imf
             residue += trial.residue
     weight = 1.0 / (cfg.ensemble_size * len(signs))
-    return ImfSet([total * weight for total in sums], residue * weight, s.sample_rate_hz)
+    return ImfSet([total * weight for total in sums], residue * weight)
 
 
 def _ceemdan(s: Signal, cfg: EnsembleConfig) -> ImfSet:
@@ -109,7 +109,7 @@ def _ceemdan(s: Signal, cfg: EnsembleConfig) -> ImfSet:
         imf_k = stage / cfg.ensemble_size
         imfs.append(imf_k)
         residue = residue - imf_k
-    return ImfSet(imfs, residue, s.sample_rate_hz)
+    return ImfSet(imfs, residue)
 
 
 def decompose(s: Signal, cfg: EnsembleConfig) -> ImfSet:

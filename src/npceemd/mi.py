@@ -12,11 +12,7 @@ from scipy.spatial import cKDTree
 from scipy.special import digamma
 
 from .emd import ImfSet
-from .signals import Signal, ZeroVariance, kurtosis
-
-
-class TooFewSamples(ValueError):
-    """Series too short for the requested neighbour count."""
+from .signals import Signal, ZeroVariance, _to_unit_peak, kurtosis
 
 
 class DegenerateData(ValueError):
@@ -40,14 +36,12 @@ def _break_ties(a: np.ndarray, stream: int) -> np.ndarray:
     """Jitter duplicated coordinates by 1e-10 of the data range.
 
     The perturbation is drawn from a fixed-salt stream so results stay
-    reproducible. A zero-range series is returned unchanged (it stays
-    degenerate and is caught downstream).
+    reproducible. Its one caller rejects a constant series first, so the
+    range is positive.
     """
     if np.unique(a).size == a.size:
         return a
     span = float(a.max() - a.min())
-    if span == 0.0:
-        return a
     rng = np.random.default_rng((_JITTER_SALT, stream, a.size))
     return a + 1e-10 * span * rng.standard_normal(a.size)
 
@@ -113,11 +107,16 @@ def knn_mutual_information(x: np.ndarray, y: np.ndarray, k: int = KSG_K) -> floa
     if k < 1:
         raise ValueError("k must be >= 1")
     if n <= k + 1:
-        raise TooFewSamples(f"need more than k+1={k + 1} samples, got {n}")
+        raise ValueError(f"need more than k+1={k + 1} samples, got {n}")
     if xv.max() == xv.min() or yv.max() == yv.min():
         raise DegenerateData("constant series carries no neighbour geometry")
-    xv = _break_ties(xv, 0)
-    yv = _break_ties(yv, 1)
+    # One shared power-of-two scale takes the joint peak into [0.5, 1), so
+    # the data range and the neighbour distances stay finite for records
+    # near the largest float. The scale is exact: where no value falls
+    # into the subnormal range, the estimate keeps its bits.
+    joint, _ = _to_unit_peak(np.stack((xv, yv)))
+    xv = _break_ties(joint[0], 0)
+    yv = _break_ties(joint[1], 1)
     points = np.column_stack((xv, yv))
     tree = cKDTree(points)
     eps = tree.query(points, k=k + 1, p=np.inf)[0][:, k]

@@ -13,10 +13,6 @@ from .signals import Seed
 MAX_FGN_LENGTH = 1 << 23
 
 
-class LengthTooLarge(ValueError):
-    """Requested length exceeds the circulant-embedding memory cap."""
-
-
 def fgn_autocovariance(hurst: float, lag: int | np.ndarray) -> float | np.ndarray:
     """Closed-form autocovariance of unit-variance fGn at an integer lag or
     array of lags.
@@ -55,7 +51,7 @@ def generate_fgn(hurst: float, length: int, seed: Seed) -> np.ndarray:
     if n < 1:
         raise ValueError("length must be positive")
     if n > MAX_FGN_LENGTH:
-        raise LengthTooLarge(f"length {n} exceeds cap {MAX_FGN_LENGTH}")
+        raise ValueError(f"length {n} exceeds cap {MAX_FGN_LENGTH}")
     m = 2 * n
     gamma = fgn_autocovariance(hurst, np.arange(n + 1))
     row = np.concatenate((gamma, gamma[-2:0:-1]))

@@ -131,7 +131,7 @@ def diagnose(
     combined = np.zeros(n)
     for index in selected:
         combined += imf_set.imfs[index - 1]
-    spectrum = envelope_spectrum(Signal(combined, imf_set.sample_rate_hz))
+    spectrum = envelope_spectrum(Signal(combined, raw.sample_rate_hz))
     detection = None
     if not selected:
         verdict = VERDICT_INCONCLUSIVE

@@ -17,10 +17,6 @@ class ZeroVariance(ValueError):
     """All samples equal; kurtosis is undefined."""
 
 
-class ZeroPower(ValueError):
-    """Signal has zero power; SNR mixing is undefined."""
-
-
 @dataclass(frozen=True, eq=False)
 class Signal:
     """Uniformly sampled real-valued time series.
@@ -48,14 +44,6 @@ class Signal:
 
     def __len__(self) -> int:
         return self.samples.size
-
-    @property
-    def duration_s(self) -> float:
-        return self.samples.size / self.sample_rate_hz
-
-    @property
-    def nyquist_hz(self) -> float:
-        return self.sample_rate_hz / 2.0
 
     def times(self) -> np.ndarray:
         """Sample instants starting at t = 0."""
@@ -119,7 +107,7 @@ def mix_to_snr(clean: Signal, noise_seed: Seed, snr_db: float) -> Signal:
     x = clean.samples
     p_clean = float(np.mean(x * x))
     if p_clean == 0.0:
-        raise ZeroPower("clean signal has zero power")
+        raise ValueError("clean signal has zero power")
     rng = np.random.default_rng(noise_seed)
     w = rng.standard_normal(x.size)
     p_target = p_clean / 10.0 ** (snr_db / 10.0)

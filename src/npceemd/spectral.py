@@ -22,10 +22,6 @@ HARMONIC_RATIO_THRESHOLD = 3.0
 N_HARMONICS = 3
 
 
-class TargetAboveNyquist(ValueError):
-    """Requested defect frequency is not below the Nyquist frequency."""
-
-
 @dataclass(frozen=True, eq=False)
 class EnvelopeSpectrum:
     """Single-sided magnitude spectrum of a demodulated envelope."""
@@ -134,9 +130,7 @@ def detect_defect_peak(spec: EnvelopeSpectrum, target_hz: float) -> PeakDetectio
     if not target_hz > 0:
         raise ValueError("target_hz must be positive")
     if target_hz >= spec.nyquist_hz:
-        raise TargetAboveNyquist(
-            f"target {target_hz} Hz >= Nyquist {spec.nyquist_hz} Hz"
-        )
+        raise ValueError(f"target {target_hz} Hz >= Nyquist {spec.nyquist_hz} Hz")
     target_bin = int(round(target_hz / spec.resolution_hz))
     half_width = max(20, int(round(0.75 * target_bin)))
 

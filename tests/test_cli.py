@@ -136,6 +136,23 @@ class TestReadSignalCsv:
         with pytest.raises(ParseError, match="nan_time.csv"):
             read_signal_csv(str(path))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name,text,rate", [
+        # 1 / 5e-324 is an infinite sample rate
+        ("tiny_dt.csv", "time,value\n" + "".join(f"{k * 5e-324!r},{k}\n" for k in range(8)),
+         None),
+        ("nan_value.csv", "time,value\n0.0,1.0\n0.001,nan\n0.002,3.0\n0.003,1.0\n", None),
+        ("inf_value.csv", "value\n1.0\n-inf\n3.0\n1.0\n", 10.0),
+        ("two_rows.csv", "time,value\n0.0,1.0\n0.001,2.0\n", None),
+        # float("2e308") is inf, and inf - inf would warn inside np.diff
+        ("huge_time.csv", "time,value\n0.0,1.0\n0.001,2.0\n2e308,3.0\n2e308,1.0\n", None),
+    ], ids=["tiny-dt", "nan-value", "inf-value", "two-rows", "huge-time"])
+    def test_every_rejected_record_names_the_file(self, tmp_path, name, text, rate):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(ParseError, match=name):
+            read_signal_csv(str(path), rate)
+
     def test_comment_lines_skipped(self, tmp_path):
         path = tmp_path / "commented.csv"
         path.write_text("# manifest: {}\nvalue\n1.0\n2.0\n3.0\n4.0\n")

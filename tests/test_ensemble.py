@@ -242,8 +242,8 @@ class TestAlignment:
         ones = np.ones(n)
         s = Signal(np.arange(n) / n, 10.0)
         for order in ("short-long", "long-short"):
-            short = ImfSet([ones.copy()], np.zeros(n), 10.0)
-            long = ImfSet([ones.copy(), 2.0 * ones], np.ones(n), 10.0)
+            short = ImfSet([ones.copy()], np.zeros(n))
+            long = ImfSet([ones.copy(), 2.0 * ones], np.ones(n))
             trials = iter([short, long] if order == "short-long" else [long, short])
             monkeypatch.setattr(ensemble, "emd", lambda s, cfg=None: next(trials))
             out = decompose(s, cfg_for("eemd", ensemble_size=2))

@@ -24,7 +24,6 @@ from npceemd.emd import ImfSet
 from npceemd.mi import (
     DegenerateData,
     MiScore,
-    TooFewSamples,
     _break_ties,
     _strict_marginal_counts,
 )
@@ -88,7 +87,7 @@ class TestKnnMutualInformation:
         assert abs(base - cubed) < 0.05
 
     def test_too_few_samples(self):
-        with pytest.raises(TooFewSamples):
+        with pytest.raises(ValueError, match="need more than k"):
             knn_mutual_information(np.arange(4.0), np.arange(4.0), 3)
 
     def test_degenerate_constant_series(self):
@@ -131,12 +130,11 @@ def test_strict_marginal_counts_match_pairwise(kind, seed):
             np.testing.assert_array_equal(_strict_marginal_counts(axis, eps), brute)
 
 
-def small_imf_set(arrays, fs=1000.0):
+def small_imf_set(arrays):
     n = arrays[0].size
     return ImfSet(
         imfs=[np.asarray(a, dtype=float) for a in arrays],
         residue=np.zeros(n),
-        sample_rate_hz=fs,
     )
 
 
@@ -241,6 +239,19 @@ def test_mi_scale_invariance_of_selection():
     assert abs(base - scaled) <= 0.02
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("k", [-1000, 1000, 1023])
+def test_power_of_two_scale_keeps_the_bits(k):
+    # A tied pair, so the jitter runs; unscaled, its data range (max - min)
+    # overflowed at 2**1023.
+    rng = np.random.default_rng(91)
+    x = np.round(rng.standard_normal(500), 1)
+    y = np.round(x + 0.5 * rng.standard_normal(500), 1)
+    x, y = x / 2.0, y / 2.0  # peaks between 1 and 2, so 2**1023 times them is finite
+    base = knn_mutual_information(x, y, 3)
+    assert knn_mutual_information(np.ldexp(x, k), np.ldexp(y, k), 3) == base
+
+
 def test_emd_scores_integration():
     # end to end: decompose a two-tone signal, score, select
     t = np.arange(4096) / 4096.0
@@ -268,7 +279,6 @@ def test_selection_robust_to_subsampling_stride():
     halved_set = ImfSet(
         imfs=[imf[::2] for imf in imf_set.imfs],
         residue=imf_set.residue[::2],
-        sample_rate_hz=16384.0,
     )
     fine = select_by_mi(score_imfs(halved, halved_set))  # no further stride
     assert auto == fine
@@ -292,7 +302,7 @@ def report_bits(report):
 
 def with_zero_imf(imf_set):
     zero = np.zeros(imf_set.source_length)
-    return ImfSet(imf_set.imfs + [zero], imf_set.residue, imf_set.sample_rate_hz)
+    return ImfSet(imf_set.imfs + [zero], imf_set.residue)
 
 
 class TestConcurrentScoring:

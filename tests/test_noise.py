@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from npceemd import fgn_autocovariance, generate_fgn, generate_white
-from npceemd.noise import MAX_FGN_LENGTH, LengthTooLarge
+from npceemd.noise import MAX_FGN_LENGTH
 
 
 def empirical_autocov(x: np.ndarray, lag: int) -> float:
@@ -104,7 +104,7 @@ def test_fgn_deterministic():
 
 
 def test_fgn_length_cap():
-    with pytest.raises(LengthTooLarge):
+    with pytest.raises(ValueError, match="exceeds cap"):
         generate_fgn(0.5, MAX_FGN_LENGTH + 1, 1)
 
 

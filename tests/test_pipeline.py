@@ -10,8 +10,9 @@ from npceemd import (
     diagnose,
     separation_scores,
 )
-from npceemd import pipeline
+from npceemd import decompose, pipeline
 from npceemd.emd import ImfSet
+from npceemd.ensemble import METHODS
 from npceemd.pipeline import (
     SELECTORS,
     VERDICT_DEFECT,
@@ -176,10 +177,41 @@ def test_kurtosis_selection_ignores_k(decompositions):
     assert len(decompositions) == 1
 
 
+DEGENERATE_SHAPES = {
+    "constant": np.ones,
+    "zero": np.zeros,
+    "ramp": lambda n: np.linspace(-1.0, 1.0, n),
+    "alternating": lambda n: (-1.0) ** np.arange(n),
+    "sine": lambda n: np.sin(0.9 * np.arange(n)),
+}
+VERDICTS = (VERDICT_DEFECT, VERDICT_NO_DEFECT, VERDICT_INCONCLUSIVE)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("shape", DEGENERATE_SHAPES)
+@pytest.mark.parametrize("method", METHODS)
+def test_degenerate_record_has_a_defined_outcome(method, shape):
+    # Finite modes from decompose, and from diagnose a verdict or, below
+    # the envelope's 8 samples, ValueError; at peaks from the subnormal
+    # 1e-310 up to the largest power of two.
+    cfg = EnsembleConfig(method=method, ensemble_size=2, master_seed=1)
+    for n in (4, 5, 7, 8, 16, 64):
+        for scale in (1.0, 1e300, 1e-300, 1e-310, 2.0**1023):
+            s = Signal(scale * DEGENERATE_SHAPES[shape](n), 1000.0)
+            imf_set = decompose(s, cfg)
+            modes = (*imf_set.imfs, imf_set.residue)
+            assert all(np.all(np.isfinite(m)) for m in modes), (n, scale)
+            if n < 8:
+                with pytest.raises(ValueError, match="at least 8 samples"):
+                    diagnose(s, cfg)
+            else:
+                assert diagnose(s, cfg).verdict in VERDICTS, (n, scale)
+
+
 class TestSeparationScores:
-    def make_set(self, arrays, fs=1000.0):
+    def make_set(self, arrays):
         n = arrays[0].size
-        return ImfSet([np.asarray(a, float) for a in arrays], np.zeros(n), fs)
+        return ImfSet([np.asarray(a, float) for a in arrays], np.zeros(n))
 
     def test_exact_copy_scores_one(self):
         rng = np.random.default_rng(8)

@@ -7,7 +7,6 @@ from npceemd import (
     detect_defect_peak,
     envelope_spectrum,
 )
-from npceemd.spectral import TargetAboveNyquist
 from conftest import pearson
 
 
@@ -128,5 +127,5 @@ class TestDetectDefectPeak:
 
     def test_target_above_nyquist(self):
         spec = envelope_spectrum(am_signal())
-        with pytest.raises(TargetAboveNyquist):
+        with pytest.raises(ValueError, match="Nyquist"):
             detect_defect_peak(spec, FS / 2.0)
