@@ -303,7 +303,12 @@ def _input_signal(args: argparse.Namespace) -> Signal:
 def cmd_decompose(args: argparse.Namespace) -> int:
     signal = _input_signal(args)
     cfg = _ensemble_config(args)
-    imf_set = decompose(signal, cfg)
+    # decompose refuses a record whose modes would outgrow the largest float
+    # when scaled back, so the message names the file.
+    try:
+        imf_set = decompose(signal, cfg)
+    except ValueError as exc:
+        raise ValueError(f"{args.input}: {exc}") from exc
     manifest = _manifest(args, dataclasses.asdict(cfg), _digest_file(args.input))
     header = [f"imf_{i}" for i in range(1, imf_set.n_imfs + 1)] + ["residue"]
     columns = [c.tolist() for c in (*imf_set.imfs, imf_set.residue)]
@@ -327,7 +332,12 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     cfg = _ensemble_config(args)
     options = {name: getattr(args, name) for name in ("select", "mi_threshold", "k", "target_hz")}
     manifest = _manifest(args, {**dataclasses.asdict(cfg), **options}, _digest_file(args.input))
-    report = diagnose(signal, cfg, **options)
+    # diagnose refuses a record too short for it, or a k or target its length
+    # and rate cannot support, so the message names the file.
+    try:
+        report = diagnose(signal, cfg, **options)
+    except ValueError as exc:
+        raise ValueError(f"{args.input}: {exc}") from exc
     all_indices = sorted(report.selected_indices + report.rejected_indices)
     if all_indices != list(range(1, len(all_indices) + 1)):
         raise InternalCheckFailed("selected/rejected indices do not partition IMFs")

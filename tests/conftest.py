@@ -9,6 +9,7 @@ from npceemd import (
     gen_impulses,
     gen_tone,
 )
+from npceemd.pipeline import VERDICT_DEFECT, VERDICT_INCONCLUSIVE, VERDICT_NO_DEFECT
 
 # One fixed seed per experiment keeps the whole suite deterministic.
 FIXTURE_SEED = 0  # clean/noisy combined-signal studies
@@ -18,6 +19,17 @@ FIXTURE_SNR_DB = -30.0  # nominal SNR of the noisy combined fixture
 # Draw d uses fixture seed d and master_seed d; draw 0 is FIXTURE_SEED.
 COMPARISON_DRAWS = (0, 1, 2, 3, 4)
 DEFECT_HZ = 1.0 / 0.015
+# Degenerate records (shape -> samples of length n) and their lengths, from
+# below the envelope's 8 samples up; each must give a defined outcome.
+DEGENERATE_SHAPES = {
+    "constant": np.ones,
+    "zero": np.zeros,
+    "ramp": lambda n: np.linspace(-1.0, 1.0, n),
+    "alternating": lambda n: (-1.0) ** np.arange(n),
+    "sine": lambda n: np.sin(0.9 * np.arange(n)),
+}
+DEGENERATE_LENGTHS = (4, 5, 7, 8, 16, 64)
+VERDICTS = (VERDICT_DEFECT, VERDICT_NO_DEFECT, VERDICT_INCONCLUSIVE)
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import os
 
@@ -18,6 +19,7 @@ from npceemd.cli import (
 )
 from npceemd.mi import KSG_K, MI_THRESHOLD
 from npceemd.pipeline import SELECTORS
+from conftest import DEGENERATE_LENGTHS, DEGENERATE_SHAPES, VERDICTS
 
 
 def run(*argv) -> int:
@@ -485,3 +487,38 @@ def test_compare_checks_the_whole_grid_first(tmp_path, monkeypatch, grid):
     assert run("compare", "--fixture", "combined", "--seed", "1", *grid,
                "--out", str(tmp_path)) == EXIT_USAGE
     assert calls == []
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("shape", DEGENERATE_SHAPES)
+def test_degenerate_record_has_a_defined_exit(tmp_path, capsys, shape):
+    # The library grid in test_pipeline.py covers all five methods; through
+    # the CLI each record, at peak 1 and at the largest power of two, must
+    # exit 0 or 3 with a verdict, or 2 with a message naming the file, and
+    # never raise.
+    for n, scale in itertools.product(DEGENERATE_LENGTHS, (1.0, 2.0**1023)):
+        path = tmp_path / f"{shape}-{n}-{scale:.0e}.csv"
+        write_signal(path, scale * DEGENERATE_SHAPES[shape](n))
+        for command in ("decompose", "diagnose"):
+            out = tmp_path / f"{command}-{n}-{scale:.0e}"
+            code = run(command, str(path), "--method", "emd", "--out", str(out))
+            err = capsys.readouterr().err
+            assert code in (EXIT_OK, EXIT_USAGE, EXIT_INCONCLUSIVE), (command, n, scale, err)
+            if code == EXIT_USAGE:
+                assert str(path) in err, (command, n, scale, err)
+            elif command == "diagnose":
+                report = json.loads((out / "report.json").read_text())
+                assert report["report"]["verdict"] in VERDICTS, (n, scale, report)
+
+
+def test_mode_past_the_largest_float_names_the_file(tmp_path, capsys):
+    # These 32 samples at a 2**1023 peak give an EMD mode that would outgrow
+    # the largest float when scaled back, so both commands refuse the record.
+    x = np.random.default_rng(1263).standard_normal(32)
+    path = tmp_path / "huge.csv"
+    write_signal(path, x / np.max(np.abs(x)) * 2.0**1023)
+    for command in ("decompose", "diagnose"):
+        out = tmp_path / command
+        assert run(command, str(path), "--method", "emd", "--out", str(out)) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert str(path) in err and "largest float" in err, (command, err)

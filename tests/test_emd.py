@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
+from scipy.signal import find_peaks
 
 from npceemd import (
     DefectSimParams,
@@ -84,17 +85,38 @@ def _series_with_ties(rng, n):
     return np.cumsum(steps)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_find_extrema_matches_loop_reference():
+    # Against the loop above and, index for index, SciPy's find_peaks on x
+    # and -x: plateaus inside, a third with plateaus forced at both ends
+    # and a third at peaks where a difference of two samples would overflow.
     rng = np.random.default_rng(2024)
-    for _ in range(2000):
+    for case in range(20000):
         n = int(rng.integers(4, 201))
         x = _series_with_ties(rng, n)
+        if case % 3 == 1:
+            head, tail = rng.integers(1, n // 2 + 1, 2)
+            x[:head] = x[head]
+            x[n - tail :] = x[n - tail - 1]
+        elif case % 3 == 2 and np.any(x):
+            x = x / np.max(np.abs(x)) * 2.0**1023
         got = find_extrema(x)
         want = _extrema_reference(x.tolist())
         for g, w in zip(got[::2], want[::2]):
             assert g.tolist() == w
         for g, w in zip(got[1::2], want[1::2]):
             assert np.array_equal(g, np.array(w, dtype=float))
+        assert np.array_equal(got[0], find_peaks(x)[0]), x
+        assert np.array_equal(got[2], find_peaks(-x)[0]), x
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_find_extrema_rejects_non_finite_samples(bad):
+    # NaN orders against nothing, so no extremum rule is defined for it;
+    # +-inf is refused with it, as Signal refuses both.
+    x = np.array([0.0, 1.0, bad, 1.0, 0.0, 2.0, 0.0])
+    with pytest.raises(ValueError, match="finite"):
+        find_extrema(x)
 
 
 def _metamorphic_series(seed, n, thirds):

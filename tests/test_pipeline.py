@@ -19,7 +19,13 @@ from npceemd.pipeline import (
     VERDICT_INCONCLUSIVE,
     VERDICT_NO_DEFECT,
 )
-from conftest import DEFECT_HZ, DEGRADATION_SEED
+from conftest import (
+    DEFECT_HZ,
+    DEGENERATE_LENGTHS,
+    DEGENERATE_SHAPES,
+    DEGRADATION_SEED,
+    VERDICTS,
+)
 
 
 @pytest.fixture(scope="module")
@@ -177,16 +183,6 @@ def test_kurtosis_selection_ignores_k(decompositions):
     assert len(decompositions) == 1
 
 
-DEGENERATE_SHAPES = {
-    "constant": np.ones,
-    "zero": np.zeros,
-    "ramp": lambda n: np.linspace(-1.0, 1.0, n),
-    "alternating": lambda n: (-1.0) ** np.arange(n),
-    "sine": lambda n: np.sin(0.9 * np.arange(n)),
-}
-VERDICTS = (VERDICT_DEFECT, VERDICT_NO_DEFECT, VERDICT_INCONCLUSIVE)
-
-
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("shape", DEGENERATE_SHAPES)
 @pytest.mark.parametrize("method", METHODS)
@@ -195,7 +191,7 @@ def test_degenerate_record_has_a_defined_outcome(method, shape):
     # the envelope's 8 samples, ValueError; at peaks from the subnormal
     # 1e-310 up to the largest power of two.
     cfg = EnsembleConfig(method=method, ensemble_size=2, master_seed=1)
-    for n in (4, 5, 7, 8, 16, 64):
+    for n in DEGENERATE_LENGTHS:
         for scale in (1.0, 1e300, 1e-300, 1e-310, 2.0**1023):
             s = Signal(scale * DEGENERATE_SHAPES[shape](n), 1000.0)
             imf_set = decompose(s, cfg)

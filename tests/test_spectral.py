@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.signal import hilbert
 
 from npceemd import (
     Signal,
@@ -41,8 +42,6 @@ class TestAnalyticEnvelope:
         assert np.all(env >= 0.0)
 
     def test_parseval_energy_identity(self):
-        from scipy.signal import hilbert
-
         rng = np.random.default_rng(4)
         x = rng.standard_normal(4096)
         x -= x.mean()
@@ -52,6 +51,14 @@ class TestAnalyticEnvelope:
         corrections = (np.abs(spectrum[0]) ** 2 + np.abs(spectrum[2048]) ** 2) / 4096
         expected = 2.0 * np.sum(x * x) - corrections
         assert np.sum(np.abs(analytic) ** 2) == pytest.approx(expected, rel=1e-6)
+
+    def test_equals_the_modulus_of_scipy_hilbert(self):
+        # Bit for bit, at every length 8-399 (odd and even) and at the
+        # record lengths of the workloads.
+        rng = np.random.default_rng(5)
+        for n in [*range(8, 400), 5000, 32767, 32768]:
+            x = rng.standard_normal(n)
+            assert np.array_equal(analytic_envelope(x), np.abs(hilbert(x))), n
 
 
 class TestEnvelopeSpectrum:
