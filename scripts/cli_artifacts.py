@@ -60,6 +60,12 @@ INVOCATIONS = [
     ("dec-ceemdan", ["decompose", "@" + DEFECT, "--method", "ceemdan", "--verify", *SMALL]),
     ("dec-npceemd", ["decompose", "@" + DEFECT, "--method", "npceemd", "--hurst", "0.3",
                      *SMALL]),
+    # --verify on every ensemble method: stdout.txt keeps each error
+    ("dec-eemd-verify", ["decompose", "@" + DEFECT, "--method", "eemd", "--verify", *SMALL]),
+    ("dec-ceemd-verify", ["decompose", "@" + DEFECT, "--method", "ceemd", "--verify",
+                          *SMALL]),
+    ("dec-npceemd-verify", ["decompose", "@" + DEFECT, "--method", "npceemd", "--verify",
+                            *SMALL]),
     ("dec-column", ["decompose", "@inputs/values.csv", "--sample-rate", "500",
                     "--method", "emd"]),
     # diagnose: mi and kurtosis, each with and without --target-hz, and mi

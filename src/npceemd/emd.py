@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -240,34 +241,39 @@ def sift_mode(residue: np.ndarray, extrema: Extrema, cfg: SiftConfig) -> np.ndar
     return h
 
 
+def take_modes(residue: np.ndarray, limit: int, step: Callable) -> ImfSet:
+    """Modes taken off ``residue`` by ``step(residue, extrema, k)``, which
+    gives mode k (0-based) of a residue whose ``mode_extrema`` scan is
+    ``extrema``, plus the final residue. Stops at the mode cap ``limit``,
+    at a residue that holds no mode, or at one below 1e-12 of the starting
+    peak: float round-off, not structure, which would otherwise keep
+    yielding junk micro-IMFs."""
+    negligible = 1e-12 * float(np.max(np.abs(residue)))
+    imfs: list[np.ndarray] = []
+    while len(imfs) < limit:
+        extrema = None if np.max(np.abs(residue)) <= negligible else mode_extrema(residue)
+        if extrema is None:
+            break
+        imfs.append(step(residue, extrema, len(imfs)))
+        residue = residue - imfs[-1]
+    return ImfSet(imfs, residue)
+
+
 def emd(s: Signal, cfg: SiftConfig | None = None) -> ImfSet:
     """Decompose a signal into IMFs plus a residue by iterated sifting.
 
-    Modes are extracted until the residue is monotone-like (fewer than
-    three extrema) or the mode cap is reached. The element-wise sum of all
-    IMFs plus the residue reconstructs the input to float round-off, since
-    every mode is subtracted from the running residue in place.
+    Modes are sifted out until a ``take_modes`` stop. The element-wise sum
+    of all IMFs plus the residue reconstructs the input to float round-off,
+    since every mode is subtracted from the running residue.
     Deterministic: identical inputs give bit-identical outputs. Sifts at a
     unit peak and scales the modes back (``signals._to_unit_peak``); a mode
     that then outgrows the largest float raises ValueError.
     """
     cfg = cfg or SiftConfig()
-    residue, e = _to_unit_peak(s.samples)
-    limit = cfg.mode_cap(residue.size)
-    # Below this the residue is float round-off, not structure; without the
-    # guard a fully-extracted signal keeps yielding junk micro-IMFs.
-    negligible = 1e-12 * float(np.max(np.abs(residue)))
-    imfs: list[np.ndarray] = []
-    while len(imfs) < limit:
-        peak = float(np.max(np.abs(residue)))
-        extrema = None if peak <= negligible else mode_extrema(residue)
-        if extrema is None:
-            break
-        h = sift_mode(residue, extrema, cfg)
-        imfs.append(h)
-        residue = residue - h
-    _from_unit_peak(e, *imfs, residue)
-    return ImfSet(imfs, residue)
+    x, e = _to_unit_peak(s.samples)
+    imf_set = take_modes(x, cfg.mode_cap(x.size), lambda r, ext, _: sift_mode(r, ext, cfg))
+    _from_unit_peak(e, *imf_set.imfs, imf_set.residue)
+    return imf_set
 
 
 def zero_crossings(x: np.ndarray) -> int:

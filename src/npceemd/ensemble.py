@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .emd import ImfSet, SiftConfig, emd, mode_extrema, sift_mode
+from .emd import Extrema, ImfSet, SiftConfig, emd, mode_extrema, sift_mode, take_modes
 from .noise import generate_fgn, generate_white
 from .signals import Signal, _from_unit_peak, _to_unit_peak
 
@@ -84,32 +84,26 @@ def _ceemdan(s: Signal, cfg: EnsembleConfig) -> ImfSet:
     Stage k perturbs the running residue with eps_k times the k-th EMD
     mode of each stored noise realization (eps_k = noise_scale times the
     residue's standard deviation), extracts one IMF as the ensemble mean
-    of first modes, subtracts it, and repeats. The telescoping updates
-    make the reconstruction exact up to float accumulation.
+    of first modes, subtracts it, and repeats until a ``take_modes`` stop.
+    The telescoping updates make the reconstruction exact up to float
+    accumulation.
     """
     x = s.samples
-    n = x.size
-    limit = cfg.sift.mode_cap(n)
     noise_modes = []
     for j in range(cfg.ensemble_size):
-        w = _trial_noise(cfg, n, j, fractional=False)
+        w = _trial_noise(cfg, x.size, j, fractional=False)
         noise_modes.append(emd(Signal(w, s.sample_rate_hz), cfg.sift).imfs)
-    imfs: list[np.ndarray] = []
-    residue = x.copy()
-    while len(imfs) < limit:
-        if mode_extrema(residue) is None:
-            break
+
+    def stage(residue: np.ndarray, _: Extrema, k: int) -> np.ndarray:
         eps = cfg.noise_scale * np.std(residue)
-        stage = np.zeros(n)
+        total = np.zeros(x.size)
         for modes in noise_modes:
-            k = len(imfs)
             perturbed = residue + eps * modes[k] if k < len(modes) else residue
             extrema = mode_extrema(perturbed)
-            stage += perturbed if extrema is None else sift_mode(perturbed, extrema, cfg.sift)
-        imf_k = stage / cfg.ensemble_size
-        imfs.append(imf_k)
-        residue = residue - imf_k
-    return ImfSet(imfs, residue)
+            total += perturbed if extrema is None else sift_mode(perturbed, extrema, cfg.sift)
+        return total / cfg.ensemble_size
+
+    return take_modes(x.copy(), cfg.sift.mode_cap(x.size), stage)
 
 
 def decompose(s: Signal, cfg: EnsembleConfig) -> ImfSet:

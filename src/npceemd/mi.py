@@ -159,9 +159,8 @@ def score_imfs(raw: Signal, imf_set: ImfSet, k: int = KSG_K) -> list[MiScore]:
     only. A degenerate IMF (e.g. all-zero padding) scores 0 with its
     flag set instead of aborting the batch. The IMFs are scored on a
     thread pool opened and closed within the call, one thread per IMF up
-    to the number of CPUs in the process's affinity mask; with one such
-    CPU they are scored in a plain loop. The scores are the same bits
-    either way.
+    to the number of CPUs in the process's affinity mask, and at least
+    one. The scores are the same bits at any thread count.
     """
     x = raw.samples
     if imf_set.source_length != x.size:
@@ -175,16 +174,13 @@ def score_imfs(raw: Signal, imf_set: ImfSet, k: int = KSG_K) -> list[MiScore]:
         except DegenerateData:
             return MiScore(i, 0.0, k, degenerate=True)
 
-    indices = range(1, imf_set.n_imfs + 1)
-    threads = min(imf_set.n_imfs, _usable_cpus())
-    if threads <= 1:
-        return list(map(score, indices, imf_set.imfs))
     # Tree building and queries, sorting and searchsorted run in native code
     # that releases the GIL, so the IMFs are scored side by side. map yields
-    # in IMF order and re-raises the first failure in that order, as the
-    # loop would; each estimate is the same computation either way.
+    # in IMF order and re-raises the first failure in that order; each
+    # estimate is the same computation on any thread.
+    threads = max(1, min(imf_set.n_imfs, _usable_cpus()))
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(score, indices, imf_set.imfs))
+        return list(pool.map(score, range(1, imf_set.n_imfs + 1), imf_set.imfs))
 
 
 def select_by_mi(scores: list[MiScore], threshold: float = MI_THRESHOLD) -> list[int]:

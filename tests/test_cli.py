@@ -6,9 +6,10 @@ import os
 import numpy as np
 import pytest
 
-from npceemd import DefectSimParams, EnsembleConfig
+from npceemd import DefectSimParams, EnsembleConfig, ImfSet, decompose
 from npceemd.cli import (
     EXIT_INCONCLUSIVE,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_USAGE,
     MAX_GRID_POINTS,
@@ -174,6 +175,26 @@ class TestDecompose:
         assert header[-1] == "residue"
         assert header[0] == "imf_1"
         assert len(lines) == 2 + 1024
+
+    @pytest.mark.parametrize("method, code", [
+        ("emd", EXIT_INTERNAL), ("ceemd", EXIT_INTERNAL), ("ceemdan", EXIT_INTERNAL),
+        ("npceemd", EXIT_INTERNAL), ("eemd", EXIT_OK),
+    ])
+    def test_verify_bounds_every_method_but_eemd(
+        self, monkeypatch, tmp_path, tone_csv, capsys, method, code
+    ):
+        # without its first mode a decomposition no longer sums to the record;
+        # eemd's error is residual noise by design, so it is only reported
+        def drop_first_mode(signal, cfg):
+            full = decompose(signal, cfg)
+            return ImfSet(full.imfs[1:], full.residue)
+
+        monkeypatch.setattr("npceemd.cli.decompose", drop_first_mode)
+        assert run("decompose", tone_csv, "--method", method, "--seed", "1",
+                   "--ensemble", "2", "--verify", "--out", str(tmp_path / "dec")) == code
+        printed = capsys.readouterr()
+        assert "max reconstruction error" in printed.out
+        assert ("internal check failed" in printed.err) == (code == EXIT_INTERNAL)
 
     def test_ensemble_requires_seed(self, tmp_path, tone_csv):
         assert run("decompose", tone_csv, "--method", "eemd",

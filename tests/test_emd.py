@@ -11,7 +11,9 @@ from scipy.signal import find_peaks
 
 from npceemd import (
     DefectSimParams,
+    EnsembleConfig,
     Signal,
+    decompose,
     emd,
     find_extrema,
     gen_combined,
@@ -367,10 +369,11 @@ def test_emd_pure_tone():
 
 
 def test_emd_monotone_ramp_gives_no_imfs():
+    # the mode stops are shared, so CEEMDAN must stop where EMD does
     s = Signal(np.linspace(0.0, 5.0, 256), 100.0)
-    out = emd(s)
-    assert out.n_imfs == 0
-    assert np.array_equal(out.residue, s.samples)
+    for out in (emd(s), decompose(s, EnsembleConfig(method="ceemdan"))):
+        assert out.n_imfs == 0
+        assert np.array_equal(out.residue, s.samples)
 
 
 def test_emd_mode_mixing_on_combined_fixture(emd_clean_combined, tone_signal):
@@ -432,8 +435,9 @@ def test_emd_is_exact_at_the_float_extremes(k, minute_440):
 def test_emd_respects_max_imfs():
     rng = np.random.default_rng(5)
     s = Signal(rng.standard_normal(2048), 100.0)
-    out = emd(s, SiftConfig(max_imfs=3))
-    assert out.n_imfs <= 3
+    sift = SiftConfig(max_imfs=3)
+    for out in (emd(s, sift), decompose(s, EnsembleConfig(method="ceemdan", sift=sift))):
+        assert out.n_imfs == 3
 
 
 def test_imf_criterion_on_combined_fixture(emd_clean_combined):

@@ -306,8 +306,9 @@ def with_zero_imf(imf_set):
 
 
 class TestConcurrentScoring:
-    """score_imfs runs one thread per IMF up to the usable CPUs; the thread
-    count must never change a bit of the scores or of a diagnosis."""
+    """score_imfs runs one pool thread per IMF up to the usable CPUs, and at
+    least one; the thread count must never change a bit of the scores or of
+    a diagnosis."""
 
     def test_scores_are_bitwise_equal_at_any_thread_count(self, monkeypatch, minute_440):
         imf_set = with_zero_imf(emd(minute_440))
@@ -327,9 +328,15 @@ class TestConcurrentScoring:
             callers[threads] = seen
         assert results[1][-1][1:] == ((0.0).hex(), 3, True)
         assert results[1] == results[2] == results[3]
+        # one usable CPU still scores on the pool: one worker takes every IMF
         main = threading.get_ident()
-        assert callers[1] == {main}
-        assert main not in callers[2] | callers[3]
+        assert len(callers[1]) == 1
+        assert main not in callers[1] | callers[2] | callers[3]
+
+    def test_no_imfs_score_to_an_empty_list(self):
+        # the pool still opens, with one worker, for a decomposition with no IMFs
+        ramp = np.linspace(0.0, 1.0, 64)
+        assert score_imfs(Signal(ramp, 100.0), ImfSet([], ramp)) == []
 
     def test_diagnosis_is_bitwise_equal_at_any_thread_count(self, monkeypatch, minute_440):
         cfg = EnsembleConfig(method="npceemd", ensemble_size=2, master_seed=3)
