@@ -11,8 +11,16 @@ change keeps its artifacts byte for byte:
     diff -r /tmp/parent /tmp/change
 
 Only the labels under "exit 2" below are meant to differ, and only where
-a change turns an accepted invocation into a usage error on purpose. The
-table runs in under ten seconds on two cores.
+a change turns an accepted invocation into a usage error on purpose, or
+the labels a fix changes on purpose. Against a tree that still has them:
+
+- `dia-mi-target` sets the removed `--mi-threshold` and `--k`; it exits 2
+  and writes nothing (`dia-mi-target-default` keeps that run's artifacts
+  covered);
+- `dia-kurtosis-tiny` and `dia-kurtosis-huge` end in `ZeroDivisionError`
+  and in exit 3, where the kurtosis taken at a unit peak gives exit 0.
+
+The table runs in under ten seconds on two cores.
 
 Usage:
     python scripts/cli_artifacts.py --out DIR [--src SRC]
@@ -74,7 +82,14 @@ INVOCATIONS = [
     ("dia-mi-default", ["diagnose", "@" + DEFECT, "--method", "npceemd", "--seed", "1"]),
     ("dia-mi-target", ["diagnose", "@" + DEFECT, "--method", "npceemd", "--target-hz",
                        DEFECT_HZ, "--mi-threshold", "0.05", "--k", "4", *SMALL]),
+    ("dia-mi-target-default", ["diagnose", "@" + DEFECT, "--method", "npceemd",
+                               "--target-hz", DEFECT_HZ, *SMALL]),
     ("dia-kurtosis", ["diagnose", "@" + DEFECT, "--method", "emd", "--select", "kurtosis"]),
+    # kurtosis selection on one defect record at peaks of 1e-100 and 1e200
+    ("dia-kurtosis-tiny", ["diagnose", "@inputs/defect_tiny.csv", "--sample-rate", "10000",
+                           "--method", "emd", "--select", "kurtosis"]),
+    ("dia-kurtosis-huge", ["diagnose", "@inputs/defect_huge.csv", "--sample-rate", "10000",
+                           "--method", "emd", "--select", "kurtosis"]),
     ("dia-kurtosis-target", ["diagnose", "@" + DEFECT, "--method", "eemd", "--select",
                              "kurtosis", "--target-hz", DEFECT_HZ, *SMALL]),
     # a tied record whose peak is the largest power of two
@@ -93,7 +108,7 @@ INVOCATIONS = [
     # exit 2: flags a fixture does not read, a sample rate of 0, a sample
     # count that is not finite or above the cap, a burst parameter that is
     # not finite, a flag before the fixture name, grids with an invalid point,
-    # diagnose arguments it checks before decomposing, a sample rate given
+    # diagnose flags it does not take or checks before decomposing, a sample rate given
     # beside a time column, and an infinite sample rate, given or from a
     # time column spaced by the smallest subnormal
     ("x-tone-snr-rate", ["simulate", "tone", "--sample-rate", "5000", "--snr-db", "-10"]),
@@ -135,14 +150,19 @@ INVOCATIONS = [
 ]
 
 
-def write_inputs(out: str) -> None:
-    """Records `simulate` does not write: two single-column ones (the second
-    alternates +-2**1023) and a time column spaced by 5e-324."""
+def write_inputs(out: str, npceemd) -> None:
+    """Records `simulate` does not write: single-column ones (one alternates
+    +-2**1023, two hold the seed-4 severity-8 defect record at peaks of
+    1e-100 and 1e200) and a time column spaced by 5e-324."""
     os.makedirs(os.path.join(out, "inputs"))
+    defect = npceemd.gen_defect_signal(npceemd.DefectSimParams(seed=4), 8.0).samples
+    unit = defect / max(abs(defect))
     inputs = {
         "values.csv": ["value"] + [repr(((k * 7919) % 101 - 50) / 25.0) for k in range(400)],
         "alt_max.csv": [repr((-1.0) ** k * 2.0**1023) for k in range(8)],
         "tiny_dt.csv": ["time,value"] + [f"{k * 5e-324!r},{k % 3}" for k in range(8)],
+        "defect_tiny.csv": [repr(v) for v in (unit * 1e-100).tolist()],
+        "defect_huge.csv": [repr(v) for v in (unit * 1e200).tolist()],
     }
     for name, lines in inputs.items():
         with open(os.path.join(out, "inputs", name), "w") as fh:
@@ -158,9 +178,10 @@ def main() -> int:
     if os.path.exists(args.out):
         parser.error(f"{args.out} exists; an old file there would enter the diff")
     sys.path.insert(0, os.path.abspath(args.src))
+    import npceemd
     from npceemd.cli import main as cli_main
 
-    write_inputs(args.out)
+    write_inputs(args.out, npceemd)
     codes, printed = [], []
     for label, argv in INVOCATIONS:
         argv = [os.path.join(args.out, a[1:]) if a.startswith("@") else a for a in argv]

@@ -12,11 +12,13 @@ shows whether a sifting change keeps its outputs bit for bit:
     python scripts/decompose_digests.py --out /tmp/change.txt
     diff /tmp/parent.txt /tmp/change.txt
 
-Records: 2048 standard normal samples (default_rng(3)), a 4096-sample two
-tone sin(0.05 k) + 0.3 sin(0.7 k), and specimen 6 of a 6-specimen seed-11
+Records: 2048 standard normal samples (default_rng(3)), the same draws
+quantized to integer counts round(8 x), whose flat steps take
+`find_extrema`'s flat-step path, a 4096-sample two tone
+sin(0.05 k) + 0.3 sin(0.7 k), and specimen 6 of a 6-specimen seed-11
 run-to-failure series. The scales reach up to 2**1023, the largest power
 of two, and down to 1e-300, just above float64's subnormal range (below
-2.2e-308). The 162 rows take about ten seconds on two cores.
+2.2e-308). The 216 rows take under ten seconds on two cores.
 
 Usage:
     python scripts/decompose_digests.py --out FILE [--src SRC]
@@ -45,6 +47,7 @@ def records(npceemd):
     specimen = npceemd.gen_degradation_run(npceemd.DefectSimParams(seed=11), 6).specimen(6)
     return [
         ("normal", np.random.default_rng(3).standard_normal(2048), 1000.0),
+        ("counts", np.round(8 * np.random.default_rng(3).standard_normal(2048)), 1000.0),
         ("two-tone", np.sin(0.05 * k) + 0.3 * np.sin(0.7 * k), 1000.0),
         ("specimen", specimen.samples, specimen.sample_rate_hz),
     ]

@@ -329,10 +329,11 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 def cmd_diagnose(args: argparse.Namespace) -> int:
     signal = _input_signal(args)
     cfg = _ensemble_config(args)
-    options = {name: getattr(args, name) for name in ("select", "mi_threshold", "k", "target_hz")}
-    manifest = _manifest(args, {**dataclasses.asdict(cfg), **options}, _digest_file(args.input))
-    # diagnose refuses a record too short for it, or a k or target its length
-    # and rate cannot support, so the message names the file.
+    options = {"select": args.select, "target_hz": args.target_hz}
+    config = {**dataclasses.asdict(cfg), **options, "mi_threshold": MI_THRESHOLD, "k": KSG_K}
+    manifest = _manifest(args, config, _digest_file(args.input))
+    # diagnose refuses a record too short for it, or a target its rate
+    # cannot support, so the message names the file.
     try:
         report = diagnose(signal, cfg, **options)
     except ValueError as exc:
@@ -364,26 +365,36 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
 
 
 def _parse_grid(spec: str) -> list[float]:
-    lo, hi, step = (float(p) for p in spec.split(":"))
+    try:
+        lo, hi, step = (float(p) for p in spec.split(":"))
+    except ValueError:
+        raise ParseError(f"--hurst-grid {spec!r}: need three numbers lo:hi:step") from None
     if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi and step > 0):
-        raise ParseError(f"grid {spec!r}: need finite lo <= hi and step > 0")
+        raise ParseError(f"--hurst-grid {spec!r}: need finite lo <= hi and step > 0")
     values = []
     v = lo
     while v <= hi + 1e-12:
         # A step below half an ulp of v never moves it, so the count is
         # bounded here rather than estimated from (hi - lo) / step.
         if len(values) == MAX_GRID_POINTS:
-            raise ParseError(f"grid {spec!r}: more than {MAX_GRID_POINTS} points")
+            raise ParseError(f"--hurst-grid {spec!r}: more than {MAX_GRID_POINTS} points")
         values.append(round(v, 12))
         v += step
     return values
+
+
+def _parse_ensembles(spec: str) -> list[int]:
+    try:
+        return [int(p) for p in spec.split(",")]
+    except ValueError:
+        raise ParseError(f"--ensemble-grid {spec!r}: need comma-separated integers") from None
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     grid = itertools.product(
         args.methods or [args.method],
         _parse_grid(args.hurst_grid) if args.hurst_grid else [args.hurst],
-        [int(p) for p in args.ensemble_grid.split(",")] if args.ensemble_grid else [args.ensemble],
+        _parse_ensembles(args.ensemble_grid) if args.ensemble_grid else [args.ensemble],
     )
     # Every config is built, and so checked, before the first decomposition.
     configs = [_ensemble_config(args, method=m, hurst=h, ensemble_size=e) for m, h, e in grid]
@@ -445,8 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     ensemble.add_argument("--noise-scale", type=float, default=EnsembleConfig.noise_scale)
     ensemble.add_argument("--max-imfs", type=int, default=SiftConfig.max_imfs)
     selection = argparse.ArgumentParser(add_help=False)
-    selection.add_argument("--mi-threshold", type=float, default=MI_THRESHOLD)
-    selection.add_argument("--k", type=int, default=KSG_K, help="MI neighbour count")
     selection.add_argument("--select", choices=SELECTORS, default=SELECTORS[0])
     selection.add_argument("--target-hz", type=float, default=None)
     groups = {g: argparse.ArgumentParser(add_help=False)

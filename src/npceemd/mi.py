@@ -19,7 +19,7 @@ class DegenerateData(ValueError):
     """Ties collapse the neighbour distances; the series carry no geometry."""
 
 
-# The paper's selection: IMFs with more than MI_THRESHOLD nats of mutual
+# The paper's fixed selection: IMFs with more than MI_THRESHOLD nats of mutual
 # information with the raw signal, estimated from KSG_K neighbours.
 MI_THRESHOLD = 0.1
 KSG_K = 3
@@ -152,8 +152,8 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def score_imfs(raw: Signal, imf_set: ImfSet, k: int = KSG_K) -> list[MiScore]:
-    """One MiScore per IMF, order preserved.
+def score_imfs(raw: Signal, imf_set: ImfSet) -> list[MiScore]:
+    """One MiScore per IMF, from KSG_K neighbours, order preserved.
 
     Long records are strided down to MAX_MI_SAMPLES points for scoring
     only. A degenerate IMF (e.g. all-zero padding) scores 0 with its
@@ -170,9 +170,9 @@ def score_imfs(raw: Signal, imf_set: ImfSet, k: int = KSG_K) -> list[MiScore]:
 
     def score(i: int, imf: np.ndarray) -> MiScore:
         try:
-            return MiScore(i, knn_mutual_information(xs, imf[::stride], k), k)
+            return MiScore(i, knn_mutual_information(xs, imf[::stride], KSG_K), KSG_K)
         except DegenerateData:
-            return MiScore(i, 0.0, k, degenerate=True)
+            return MiScore(i, 0.0, KSG_K, degenerate=True)
 
     # Tree building and queries, sorting and searchsorted run in native code
     # that releases the GIL, so the IMFs are scored side by side. map yields
@@ -183,13 +183,13 @@ def score_imfs(raw: Signal, imf_set: ImfSet, k: int = KSG_K) -> list[MiScore]:
         return list(pool.map(score, range(1, imf_set.n_imfs + 1), imf_set.imfs))
 
 
-def select_by_mi(scores: list[MiScore], threshold: float = MI_THRESHOLD) -> list[int]:
-    """Indices of IMFs whose MI exceeds the threshold, ascending.
+def select_by_mi(scores: list[MiScore]) -> list[int]:
+    """Indices of IMFs whose MI exceeds MI_THRESHOLD, ascending.
 
     An empty selection is a valid outcome and is reported upstream; so is
     an empty score list, which a decomposition with no IMFs produces.
     """
-    return [s.imf_index for s in scores if s.value_nats > threshold]
+    return [s.imf_index for s in scores if s.value_nats > MI_THRESHOLD]
 
 
 def select_by_kurtosis(imf_set: ImfSet) -> list[int]:

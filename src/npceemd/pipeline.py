@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -11,16 +10,8 @@ import numpy as np
 
 from .emd import ImfSet
 from .ensemble import EnsembleConfig, decompose
-from .mi import (
-    KSG_K,
-    MI_THRESHOLD,
-    MiScore,
-    mi_stride,
-    score_imfs,
-    select_by_kurtosis,
-    select_by_mi,
-)
-from .signals import Signal
+from .mi import MiScore, score_imfs, select_by_kurtosis, select_by_mi
+from .signals import Signal, _to_unit_peak
 from .spectral import (
     MIN_ENVELOPE_SAMPLES,
     PEAK_RATIO_THRESHOLD,
@@ -76,6 +67,9 @@ class SeparationScore:
 
 
 def _pearson(a: np.ndarray, b: np.ndarray) -> float:
+    # Each series at a unit peak: the ratio is scale-free, and the products
+    # neither overflow nor underflow.
+    a, b = _to_unit_peak(a)[0], _to_unit_peak(b)[0]
     da = a - a.mean()
     db = b - b.mean()
     denom = float(np.sqrt(np.dot(da, da) * np.dot(db, db)))
@@ -89,23 +83,20 @@ def diagnose(
     cfg: EnsembleConfig,
     *,
     select: str = SELECTORS[0],
-    mi_threshold: float = MI_THRESHOLD,
-    k: int = KSG_K,
     target_hz: float | None = None,
 ) -> DiagnosisReport:
     """Decompose, select IMFs, and look for the defect frequency in the
     envelope spectrum of their sum.
 
-    ``select="mi"`` keeps the IMFs with more than ``mi_threshold`` nats of
-    mutual information (``k`` neighbours) with the raw signal; the
+    ``select="mi"`` keeps the IMFs with more than mi.MI_THRESHOLD nats of
+    mutual information (mi.KSG_K neighbours) with the raw signal; the
     ``"kurtosis"`` baseline keeps the single maximum-kurtosis IMF. With a
     ``target_hz`` the verdict follows the peak test there; without one it
     reflects whether any non-DC bin clears PEAK_RATIO_THRESHOLD times the
     median. An empty selection yields the distinct inconclusive verdict
     rather than falling back to another selector. Arguments are checked
     before anything is decomposed: an unknown selector, a record shorter
-    than MIN_ENVELOPE_SAMPLES, a non-finite threshold, a ``k`` the scored
-    points cannot support, or a target outside (0, Nyquist) raises
+    than MIN_ENVELOPE_SAMPLES, or a target outside (0, Nyquist) raises
     ValueError.
     """
     n = len(raw)
@@ -113,19 +104,14 @@ def diagnose(
         raise ValueError(f"select must be one of {SELECTORS}, got {select!r}")
     if n < MIN_ENVELOPE_SAMPLES:
         raise ValueError(f"need at least {MIN_ENVELOPE_SAMPLES} samples, got {n}")
-    if not math.isfinite(mi_threshold):
-        raise ValueError(f"mi_threshold must be finite, got {mi_threshold}")
-    points = len(range(0, n, mi_stride(n)))
-    if select == "mi" and not 1 <= k <= points - 2:
-        raise ValueError(f"k must lie in [1, {points - 2}] for {points} scored points, got {k}")
     nyquist = float(np.fft.rfftfreq(n, 1.0 / raw.sample_rate_hz)[-1])
     if target_hz is not None and not 0.0 < target_hz < nyquist:
         raise ValueError(f"target_hz must lie in (0, {nyquist}) Hz, got {target_hz}")
 
     imf_set = decompose(raw, cfg)
     if select == "mi":
-        scores = tuple(score_imfs(raw, imf_set, k))
-        selected = select_by_mi(list(scores), mi_threshold)
+        scores = tuple(score_imfs(raw, imf_set))
+        selected = select_by_mi(list(scores))
     else:
         scores, selected = (), select_by_kurtosis(imf_set)
     combined = np.zeros(n)

@@ -74,9 +74,9 @@ def _from_unit_peak(e: int, *arrays: np.ndarray) -> None:
 
 
 def rms(s: "Signal | np.ndarray") -> float:
-    """Root mean square of the samples."""
-    x = _as_array(s)
-    return float(np.sqrt(np.mean(x * x)))
+    """Root mean square of the samples, squared at a unit peak."""
+    x, e = _to_unit_peak(_as_array(s))
+    return math.ldexp(float(np.sqrt(np.mean(x * x))), e)
 
 
 def kurtosis(s: "Signal | np.ndarray") -> float:
@@ -84,11 +84,13 @@ def kurtosis(s: "Signal | np.ndarray") -> float:
 
     Gaussian data scores about 3, impulsive data far more. Raises
     ZeroVariance for constant input, which must never win a
-    kurtosis-based selection.
+    kurtosis-based selection. The moments are taken at a unit peak, so the
+    ratio is the same at any power-of-two scale.
     """
     x = _as_array(s)
     if x.size == 0 or np.all(x == x[0]):
         raise ZeroVariance("all samples equal")
+    x = _to_unit_peak(x)[0]
     centered = x - np.mean(x)
     m2 = float(np.mean(centered * centered))
     if m2 == 0.0:

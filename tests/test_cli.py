@@ -288,22 +288,25 @@ class TestCompare:
     @pytest.mark.parametrize(
         "grid",
         ["0.1:0.5:0", "0.1:0.5:-0.1", "0.5:0.1:0.1", "0.1:inf:0.1",
-         "0.1:0.5:1e-300", "0:0:1e-300", "0.1:0.5:1e-15", "100:100:1e-15"],
+         "0.1:0.5:1e-300", "0:0:1e-300", "0.1:0.5:1e-15", "100:100:1e-15",
+         "0.1:0.5", "0.1:0.5:0.1:3", "0.1:x:0.1"],
         ids=["zero-step", "negative-step", "lo-above-hi", "infinite-hi",
              "vanishing-step", "vanishing-step-point", "tiny-step",
-             "step-below-ulp"],
+             "step-below-ulp", "two-fields", "four-fields", "not-a-number"],
     )
-    def test_hurst_grid_must_ascend(self, tmp_path, grid):
+    def test_hurst_grid_must_ascend(self, tmp_path, capsys, grid):
         # a step <= 0 or below an ulp never reaches hi, a tiny one asks for
-        # ~1e14 points, and lo > hi would give an empty table; the parser is
-        # called first, on its own, so none of these can start a decomposition
-        with pytest.raises(ParseError):
+        # ~1e14 points, lo > hi would give an empty table, and a spec that
+        # is not three numbers has no sweep; the parser is called first, on
+        # its own, so none of these can start a decomposition
+        with pytest.raises(ParseError, match=f"^--hurst-grid '{grid}': "):
             _parse_grid(grid)
         out = tmp_path / "grid"
         code = run("compare", "--fixture", "combined", "--methods", "emd",
                    "--hurst-grid", grid, "--max-imfs", "1", "--out", str(out))
         assert code == EXIT_USAGE
         assert not (out / "compare.csv").exists()
+        assert capsys.readouterr().err.startswith(f"error: --hurst-grid '{grid}': ")
 
     def test_hurst_grid_point_bound(self):
         assert _parse_grid("0.1:0.5:0.1") == [0.1, 0.2, 0.3, 0.4, 0.5]
@@ -328,10 +331,10 @@ class TestCompare:
         assert run("compare", "--out", str(tmp_path)) == EXIT_USAGE
 
 
-def test_diagnose_inconclusive_exit_code(tmp_path, tone_csv):
+def test_diagnose_inconclusive_exit_code(tmp_path, tone_csv, monkeypatch):
+    monkeypatch.setattr("npceemd.mi.MI_THRESHOLD", 1e9)
     out = tmp_path / "diag"
-    code = run("diagnose", tone_csv, "--method", "emd",
-               "--mi-threshold", "1e9", "--target-hz", "50",
+    code = run("diagnose", tone_csv, "--method", "emd", "--target-hz", "50",
                "--out", str(out))
     assert code == EXIT_INCONCLUSIVE
     report = json.loads((out / "report.json").read_text())
@@ -389,6 +392,8 @@ REMOVED_FLAGS = {
         ("--mi-threshold", "0.1"), ("--k", "3"), ("--select", "mi"),
         ("--target-hz", "50"),
     ],
+    # the paper's MI rule is fixed as mi.MI_THRESHOLD and mi.KSG_K
+    "diagnose": [("--mi-threshold", "0.1"), ("--k", "3")],
     "compare": [
         ("--sample-rate", "100"), ("--mi-threshold", "0.1"), ("--k", "3"),
         ("--select", "mi"), ("--target-hz", "50"), ("--input", "x.csv"),
@@ -411,6 +416,7 @@ def test_subcommand_rejects_flags_it_does_not_read(tmp_path, tone_csv, command, 
     base = {
         "simulate": ["simulate", "tone"],
         "decompose": ["decompose", tone_csv, "--method", "emd"],
+        "diagnose": ["diagnose", tone_csv, "--method", "emd"],
         "compare": ["compare", "--fixture", "combined", "--method", "emd",
                     "--max-imfs", "1"],
         "tone": ["simulate", "tone"],
@@ -458,6 +464,8 @@ def test_defaults_come_from_the_library_configs(tmp_path, tone_csv):
 
 @pytest.mark.parametrize(
     "options",
+    # diagnose takes no --k or --mi-threshold (the MI rule is fixed), so
+    # argparse rejects them, with any value, before a record is read
     [["--k", "0"], ["--k", "6000"], ["--target-hz", "0"], ["--target-hz", "-1"],
      ["--target-hz", "nan"], ["--target-hz", "1e9"], ["--mi-threshold", "nan"],
      ["--mi-threshold", "inf"], ["--select", "kurtosis", "--target-hz", "1e9"],
@@ -499,15 +507,21 @@ def test_simulate_rejects_unbounded_sample_counts(tmp_path, argv):
     "grid",
     [["--methods", "npceemd,foo"],
      ["--methods", "npceemd", "--hurst-grid", "0.5:1.0:0.5"],
-     ["--methods", "eemd", "--ensemble-grid", "2,0"]],
-    ids=["method", "hurst", "ensemble"],
+     ["--methods", "eemd", "--ensemble-grid", "2,0"],
+     ["--methods", "eemd", "--ensemble-grid", "1,x"],
+     ["--methods", "eemd", "--ensemble-grid", "1,,2"]],
+    ids=["method", "hurst", "ensemble", "ensemble-not-an-integer", "ensemble-empty-entry"],
 )
-def test_compare_checks_the_whole_grid_first(tmp_path, monkeypatch, grid):
+def test_compare_checks_the_whole_grid_first(tmp_path, monkeypatch, capsys, grid):
     calls = []
     monkeypatch.setattr("npceemd.cli.decompose", lambda *a: calls.append(a))
     assert run("compare", "--fixture", "combined", "--seed", "1", *grid,
                "--out", str(tmp_path)) == EXIT_USAGE
     assert calls == []
+    if grid[-1] in ("1,x", "1,,2"):
+        # a list that is not integers is named by its flag and spec
+        assert capsys.readouterr().err == (
+            f"error: --ensemble-grid {grid[-1]!r}: need comma-separated integers\n")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -1,6 +1,7 @@
 import sys
 import threading
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -174,26 +175,32 @@ class TestScoreImfs:
 
 class TestSelectors:
     def test_select_by_mi_threshold(self):
+        # the paper's rule: more than 0.1 nats
+        assert mi.MI_THRESHOLD == 0.1
         scores = [
             MiScore(i + 1, v, 3)
-            for i, v in enumerate([0.5, 0.3, 0.2, 0.05, 0.01])
+            for i, v in enumerate([0.5, 0.3, 0.2, 0.1, 0.05, 0.01])
         ]
-        assert select_by_mi(scores, 0.1) == [1, 2, 3]
+        assert select_by_mi(scores) == [1, 2, 3]
 
     def test_select_by_mi_empty_result(self):
         scores = [MiScore(1, 0.01, 3), MiScore(2, 0.0, 3)]
-        assert select_by_mi(scores, 0.1) == []
+        assert select_by_mi(scores) == []
 
-    def test_select_by_mi_zero_threshold(self):
-        scores = [MiScore(1, 0.5, 3), MiScore(2, 0.3, 3)]
-        assert select_by_mi(scores, 0.0) == [1, 2]
+    def test_select_by_mi_zero_threshold(self, monkeypatch):
+        # the threshold is read when select_by_mi runs, not when it is defined
+        monkeypatch.setattr(mi, "MI_THRESHOLD", 0.0)
+        scores = [MiScore(1, 0.5, 3), MiScore(2, 0.3, 3), MiScore(3, 0.0, 3)]
+        assert select_by_mi(scores) == [1, 2]
 
     @given(threshold=st.floats(0.0, 1.0))
     @settings(max_examples=40, deadline=None)
     def test_select_by_mi_monotone_in_threshold(self, threshold):
         scores = [MiScore(i + 1, v, 3) for i, v in enumerate([0.7, 0.4, 0.2, 0.05])]
-        low = set(select_by_mi(scores, threshold))
-        high = set(select_by_mi(scores, threshold + 0.05))
+        with mock.patch.object(mi, "MI_THRESHOLD", threshold):
+            low = set(select_by_mi(scores))
+        with mock.patch.object(mi, "MI_THRESHOLD", threshold + 0.05):
+            high = set(select_by_mi(scores))
         assert high <= low
 
     def test_select_by_kurtosis_prefers_impulsive(self):
@@ -258,7 +265,8 @@ def test_emd_scores_integration():
     raw = np.sin(2 * np.pi * 200 * t) + 0.3 * np.sin(2 * np.pi * 11 * t)
     s = Signal(raw, 4096.0)
     scores = score_imfs(s, emd(s))
-    assert select_by_mi(scores, 0.1)  # the strong tone must be informative
+    assert select_by_mi(scores)  # the strong tone must be informative
+    assert {score.k for score in scores} == {mi.KSG_K} == {3}  # the paper's k
 
 
 def test_selection_robust_to_subsampling_stride():

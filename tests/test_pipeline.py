@@ -5,12 +5,14 @@ import pytest
 
 from npceemd import (
     Component,
+    DefectSimParams,
     EnsembleConfig,
     Signal,
     diagnose,
+    gen_defect_signal,
     separation_scores,
 )
-from npceemd import decompose, pipeline
+from npceemd import decompose, mi, pipeline
 from npceemd.emd import ImfSet
 from npceemd.ensemble import METHODS
 from npceemd.pipeline import (
@@ -49,16 +51,16 @@ class TestDiagnose:
         total = len(report.selected_indices) + len(report.rejected_indices)
         assert combined == list(range(1, total + 1))
 
-    def test_threshold_monotonicity(self, minute_440, npceemd_cfg):
-        loose = diagnose(minute_440, npceemd_cfg, mi_threshold=0.05,
-                         target_hz=DEFECT_HZ)
-        tight = diagnose(minute_440, npceemd_cfg, mi_threshold=0.3,
-                         target_hz=DEFECT_HZ)
+    def test_threshold_monotonicity(self, minute_440, npceemd_cfg, monkeypatch):
+        monkeypatch.setattr(mi, "MI_THRESHOLD", 0.05)
+        loose = diagnose(minute_440, npceemd_cfg, target_hz=DEFECT_HZ)
+        monkeypatch.setattr(mi, "MI_THRESHOLD", 0.3)
+        tight = diagnose(minute_440, npceemd_cfg, target_hz=DEFECT_HZ)
         assert set(tight.selected_indices) <= set(loose.selected_indices)
 
-    def test_empty_selection_is_inconclusive(self, minute_440, npceemd_cfg):
-        report = diagnose(minute_440, npceemd_cfg, mi_threshold=1e9,
-                          target_hz=DEFECT_HZ)
+    def test_empty_selection_is_inconclusive(self, minute_440, npceemd_cfg, monkeypatch):
+        monkeypatch.setattr(mi, "MI_THRESHOLD", 1e9)
+        report = diagnose(minute_440, npceemd_cfg, target_hz=DEFECT_HZ)
         assert report.verdict == VERDICT_INCONCLUSIVE
         assert report.selected_indices == ()
         assert report.detection is None
@@ -133,10 +135,8 @@ def test_short_record_rejected_before_decomposing(decompositions, select, n, met
     assert decompositions == []
 
 
-# 64 samples at 1 kHz: 64 scored points, so k may be 1..62; Nyquist 500 Hz.
+# 64 samples at 1 kHz: Nyquist 500 Hz.
 EITHER_SELECTOR = {
-    "threshold-nan": ({"mi_threshold": float("nan")}, "mi_threshold must be finite"),
-    "threshold-inf": ({"mi_threshold": float("inf")}, "mi_threshold must be finite"),
     "target-zero": ({"target_hz": 0.0}, "target_hz must lie in"),
     "target-negative": ({"target_hz": -1.0}, "target_hz must lie in"),
     "target-nan": ({"target_hz": float("nan")}, "target_hz must lie in"),
@@ -145,8 +145,6 @@ EITHER_SELECTOR = {
 }
 BAD_ARGUMENTS = [
     pytest.param({"select": "entropy"}, "select must be one of", id="select"),
-    pytest.param({"k": 0}, r"k must lie in \[1, 62\]", id="mi-k-zero"),
-    pytest.param({"k": 63}, r"k must lie in \[1, 62\]", id="mi-k-too-large"),
 ] + [
     pytest.param({"select": sel, **kwargs}, message, id=f"{sel}-{case}")
     for sel in SELECTORS for case, (kwargs, message) in EITHER_SELECTOR.items()
@@ -161,24 +159,21 @@ def test_bad_argument_rejected_before_decomposing(decompositions, kwargs, messag
     assert decompositions == []
 
 
-def test_k_bound_follows_the_mi_stride(decompositions):
-    # 20001 samples are scored at stride 2, on 10001 points
-    s = Signal(np.sin(np.arange(20001, dtype=float)), 1000.0)
-    with pytest.raises(ValueError, match=r"\[1, 9999\] for 10001 scored points"):
-        diagnose(s, EnsembleConfig(method="emd"), k=10000)
-    assert decompositions == []
-
-
 @pytest.mark.parametrize("k", [1, 62])
-def test_k_at_either_bound_is_scored(k):
+def test_k_at_either_bound_is_scored(k, monkeypatch):
+    # 64 samples are scored on 64 points, so the estimator takes k from 1 to
+    # 62; score_imfs reads mi.KSG_K when it runs and records the k it used.
+    monkeypatch.setattr(mi, "KSG_K", k)
     s = Signal(np.sin(np.arange(64, dtype=float) * 0.7) + np.arange(64) * 0.01, 1000.0)
-    report = diagnose(s, EnsembleConfig(method="emd"), k=k, target_hz=100.0)
+    report = diagnose(s, EnsembleConfig(method="emd"), target_hz=100.0)
     assert report.mi_scores and all(score.k == k for score in report.mi_scores)
 
 
-def test_kurtosis_selection_ignores_k(decompositions):
+def test_kurtosis_selection_ignores_k(decompositions, monkeypatch):
+    # a k the MI estimator would refuse never reaches the kurtosis baseline
+    monkeypatch.setattr(mi, "KSG_K", 0)
     s = Signal(np.sin(np.arange(64, dtype=float) * 0.7), 1000.0)
-    report = diagnose(s, EnsembleConfig(method="emd"), select="kurtosis", k=0)
+    report = diagnose(s, EnsembleConfig(method="emd"), select="kurtosis")
     assert report.method_variant == "kurtosis_baseline"
     assert len(decompositions) == 1
 
@@ -187,9 +182,9 @@ def test_kurtosis_selection_ignores_k(decompositions):
 @pytest.mark.parametrize("shape", DEGENERATE_SHAPES)
 @pytest.mark.parametrize("method", METHODS)
 def test_degenerate_record_has_a_defined_outcome(method, shape):
-    # Finite modes from decompose, and from diagnose a verdict or, below
-    # the envelope's 8 samples, ValueError; at peaks from the subnormal
-    # 1e-310 up to the largest power of two.
+    # Finite modes from decompose, and from diagnose under either selector
+    # a verdict or, below the envelope's 8 samples, ValueError; at peaks
+    # from the subnormal 1e-310 up to the largest power of two.
     cfg = EnsembleConfig(method=method, ensemble_size=2, master_seed=1)
     for n in DEGENERATE_LENGTHS:
         for scale in (1.0, 1e300, 1e-300, 1e-310, 2.0**1023):
@@ -197,11 +192,33 @@ def test_degenerate_record_has_a_defined_outcome(method, shape):
             imf_set = decompose(s, cfg)
             modes = (*imf_set.imfs, imf_set.residue)
             assert all(np.all(np.isfinite(m)) for m in modes), (n, scale)
-            if n < 8:
-                with pytest.raises(ValueError, match="at least 8 samples"):
-                    diagnose(s, cfg)
-            else:
-                assert diagnose(s, cfg).verdict in VERDICTS, (n, scale)
+            for select in SELECTORS:
+                if n < 8:
+                    with pytest.raises(ValueError, match="at least 8 samples"):
+                        diagnose(s, cfg, select=select)
+                else:
+                    verdict = diagnose(s, cfg, select=select).verdict
+                    assert verdict in VERDICTS, (n, scale, select)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("method", ["emd", "npceemd"])
+def test_kurtosis_selection_holds_at_any_peak(method):
+    # The kurtosis of a mode peaking near 1e-100 used to divide 0 by 0, and
+    # near 1e80 and above its fourth powers overflowed to an empty selection.
+    x = gen_defect_signal(DefectSimParams(seed=DEGRADATION_SEED), 8.0)
+    unit = x.samples / np.max(np.abs(x.samples))
+    cfg = EnsembleConfig(method=method, ensemble_size=2, master_seed=DEGRADATION_SEED)
+    reports = [
+        diagnose(Signal(scale * unit, x.sample_rate_hz), cfg, select="kurtosis",
+                 target_hz=DEFECT_HZ)
+        for scale in (1.0, 1e-300, 1e-100, 1e80, 1e200, 2.0**1023)
+    ]
+    assert reports[0].verdict == VERDICT_DEFECT and reports[0].selected_indices == (1,)
+    for report in reports[1:]:
+        assert report.verdict == VERDICT_DEFECT and report.selected_indices == (1,)
+        assert report.detection.peak_ratio == pytest.approx(
+            reports[0].detection.peak_ratio, rel=1e-12)
 
 
 class TestSeparationScores:
@@ -252,6 +269,29 @@ class TestSeparationScores:
         imf_set = self.make_set([noisy_copy])
         (score,) = separation_scores(imf_set, [Component("c", component)])
         assert score.leakage == pytest.approx(1.0 - score.correlation**2, abs=1e-12)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_power_of_two_scale_keeps_the_bits(self):
+        # Correlations are scale-free: the IMFs and components scaled by
+        # 2**k give the same bits from k = -1000 up to peaks near the
+        # largest float, where the raw dot products overflowed.
+        rng = np.random.default_rng(12)
+        t = np.arange(512) / 512.0
+        tone = np.sin(2 * np.pi * 9.0 * t)
+        burst = (1.0 + 0.8 * np.sin(2 * np.pi * 5.0 * t)) * np.sin(2 * np.pi * 100.0 * t)
+        arrays = [tone, burst, tone + 0.3 * rng.standard_normal(512),
+                  burst + 0.3 * rng.standard_normal(512)]
+        tone, burst, *imfs = [a / (2.0 * np.max(np.abs(a))) for a in arrays]
+
+        def scores(k):
+            components = [Component("tone", np.ldexp(tone, k)),
+                          Component("burst", np.ldexp(burst, k), impulsive=True)]
+            return separation_scores(self.make_set([np.ldexp(a, k) for a in imfs]), components)
+
+        base = scores(0)
+        assert [s.best_imf_index for s in base] == [1, 2]
+        for k in range(-1000, 1024):
+            assert scores(k) == base, k
 
     def test_length_mismatch_rejected(self):
         imf_set = self.make_set([np.zeros(64)])

@@ -80,6 +80,21 @@ def test_kurtosis_affine_invariance(a, b):
     assert moved == pytest.approx(base, rel=1e-9)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_power_of_two_scale_keeps_the_bits():
+    # Bit for bit, kurtosis is the same and rms scales with the record from
+    # peaks of 2**-1001 up to the largest float; the raw moments underflowed
+    # or overflowed towards either end.
+    x = np.random.default_rng(12).standard_normal(1000)
+    x[::100] += 8.0
+    x /= 2.0 * np.max(np.abs(x))
+    base_kurtosis, base_rms = kurtosis(x), rms(x)
+    for k in range(-1000, 1024):
+        y = np.ldexp(x, k)
+        assert kurtosis(y) == base_kurtosis, k
+        assert rms(y) == math.ldexp(base_rms, k), k
+
+
 def _realized_snr_db(clean: Signal, noisy: Signal) -> float:
     w = noisy.samples - clean.samples
     return 10.0 * np.log10(np.mean(clean.samples**2) / np.mean(w**2))
