@@ -7,7 +7,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PPoly
 from scipy.linalg import LinAlgError, get_lapack_funcs
 
 from .signals import Signal, _from_unit_peak, _to_unit_peak
@@ -147,8 +146,8 @@ def spline_envelope(
     without its per-call validation and object construction: the same
     tridiagonal system for the knot slopes, row for row, solved by the same
     LAPACK ``gtsv`` that ``solve_banded`` calls, the same Hermite
-    coefficients and the same ``PPoly`` evaluation, so the envelope is
-    bit-identical to it.
+    coefficients, and an evaluation that sums the power terms in the order
+    scipy's ``PPoly`` does, so the envelope is bit-identical to it.
     """
     idx = np.asarray(indices, dtype=np.int64)
     val = np.asarray(values, dtype=np.float64)
@@ -181,7 +180,26 @@ def spline_envelope(
     # Cubic Hermite coefficients per knot interval, highest power first.
     t = (s[:-1] + s[1:] - 2 * slope) / dx
     c = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], mag[:-1]))
-    return PPoly.construct_fast(c, pos)(np.arange(n, dtype=np.float64))
+    # Every knot is an integer (an index or its mirror image), so interval i
+    # holds exactly the samples in [pos[i], pos[i+1]), clipped to 0..n-1; the
+    # last one also holds sample n-1 when that is itself the last knot.
+    bounds = np.clip(pos, 0, n).astype(np.int64)
+    bounds[-1] = n
+    counts = np.diff(bounds)
+    # Each sample's offset from its interval's knot.
+    off = np.arange(n, dtype=np.float64)
+    off -= np.repeat(pos[:-1], counts)
+    # The power terms summed from 0.0 in the order of scipy's evaluate_poly1,
+    # so a -0.0 constant term comes out +0.0 as it does there. One
+    # coefficient row is spread out at a time, to keep few n-vectors alive.
+    env = np.repeat(c[3], counts)
+    env += 0.0
+    env += np.repeat(c[2], counts) * off
+    power = off * off
+    env += np.repeat(c[1], counts) * power
+    power *= off
+    env += np.repeat(c[0], counts) * power
+    return env
 
 
 def sift_once(h: np.ndarray, *, extrema: Extrema | None = None) -> np.ndarray:

@@ -104,9 +104,12 @@ def mix_to_snr(clean: Signal, noise_seed: Seed, snr_db: float) -> Signal:
 
     The drawn noise is rescaled so that 10*log10(P_clean / P_noise)
     equals ``snr_db`` on the realization itself, not just in expectation.
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed. The mix is made at a unit peak and
+    scaled back, so ``mix_to_snr`` commutes with a power-of-two scale of
+    the clean record bit for bit; a mix that outgrows the largest float
+    raises ValueError.
     """
-    x = clean.samples
+    x, e = _to_unit_peak(clean.samples)
     p_clean = float(np.mean(x * x))
     if p_clean == 0.0:
         raise ValueError("clean signal has zero power")
@@ -114,4 +117,6 @@ def mix_to_snr(clean: Signal, noise_seed: Seed, snr_db: float) -> Signal:
     w = rng.standard_normal(x.size)
     p_target = p_clean / 10.0 ** (snr_db / 10.0)
     w *= np.sqrt(p_target / np.mean(w * w))
-    return Signal(x + w, clean.sample_rate_hz)
+    w += x
+    _from_unit_peak(e, w)
+    return Signal(w, clean.sample_rate_hz)

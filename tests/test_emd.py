@@ -18,6 +18,7 @@ from npceemd import (
     find_extrema,
     gen_combined,
     gen_defect_signal,
+    generate_fgn,
     sift_once,
     spline_envelope,
 )
@@ -265,6 +266,53 @@ def test_spline_envelope_matches_cubic_spline_on_sift_envelopes(emd_clean_combin
                 _assert_matches_cubic_spline(idx, val, h.size)
                 checked += 1
     assert checked >= 20
+
+
+def _pin_records():
+    # fGn plus a sine, random walks and quantized counts at short and
+    # specimen lengths, and one record of the fixture's length.
+    for n in (8, 37, 100, 5000):
+        sine = np.sin(0.3 * np.arange(n))
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            for hurst in (0.1, 0.5, 0.9):
+                yield generate_fgn(hurst, n, (seed, n)) + sine
+            yield np.cumsum(rng.standard_normal(n))
+            yield np.round(8.0 * rng.standard_normal(n))
+    yield generate_fgn(0.1, 32768, 3) + np.sin(0.3 * np.arange(32768))
+
+
+def _cubic_spline_bytes(indices, values, n):
+    pos, mag = _mirror_extend(indices, values, n)
+    return CubicSpline(pos, mag, bc_type="natural")(np.arange(n)).tobytes()
+
+
+def test_spline_envelope_matches_cubic_spline_on_every_emd_sift(monkeypatch):
+    # Every envelope that emd builds, compared by bytes so the sign of zero
+    # counts, and each again with knots pinned on both end samples: the
+    # evaluation is checked where an end is mirrored and where the last knot
+    # is the end sample itself.
+    module = importlib.import_module("npceemd.emd")
+    built = []
+
+    def recorded(indices, values, n):
+        env = spline_envelope(indices, values, n)
+        built.append((indices, values, n, env))
+        return env
+
+    monkeypatch.setattr(module, "spline_envelope", recorded)
+    for x in _pin_records():
+        emd(Signal(x, 100.0))
+    monkeypatch.undo()
+    pinned = 0
+    for idx, val, n, env in built:
+        assert env.tobytes() == _cubic_spline_bytes(idx, val, n)
+        if idx[0] > 0 and idx[-1] < n - 1:
+            idx = np.concatenate(([0], idx, [n - 1]))
+            val = np.concatenate((val[:1], val, val[-1:]))
+            assert spline_envelope(idx, val, n).tobytes() == _cubic_spline_bytes(idx, val, n)
+            pinned += 1
+    assert len(built) >= 2000 and pinned >= 2000
 
 
 def test_spline_envelope_two_end_knots_is_linear():

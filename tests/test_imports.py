@@ -22,6 +22,21 @@ def test_import_loads_neither_scipy_signal_nor_stats():
     assert out.strip() == "[]"
 
 
+def test_import_loads_neither_scipy_interpolate_nor_optimize():
+    # scipy.interpolate, and the scipy.optimize it pulls in, evaluated the
+    # envelope spline, which the package now evaluates itself.
+    probe = (
+        "import sys, npceemd, npceemd.cli; "
+        "print(sorted(m for m in ('scipy.interpolate', 'scipy.optimize') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True, text=True, check=True, timeout=120,
+    ).stdout
+    assert out.strip() == "[]"
+
+
 def test_every_import_is_at_module_level():
     # An import moved into a function would only shift its cost from
     # process start into the first record.

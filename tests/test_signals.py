@@ -128,3 +128,21 @@ def test_mix_to_snr_tracks_request(snr_db):
     clean = Signal(np.sin(np.arange(1024) * 0.1), 50.0)
     noisy = mix_to_snr(clean, 5, snr_db)
     assert _realized_snr_db(clean, noisy) == pytest.approx(snr_db, abs=0.01)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_mix_to_snr_commutes_with_power_of_two_scaling():
+    # The mix is made at a unit peak, so a record of peak 2**-1000 is not
+    # refused for zero power and one of peak 2**1000 does not overflow its
+    # power; every scale gives the same mix scaled, bit for bit.
+    x = np.sin(0.3 * np.arange(64))
+    base = mix_to_snr(Signal(x, 100.0), 5, -3.0).samples
+    for k in range(-1000, 1001):
+        out = mix_to_snr(Signal(np.ldexp(x, k), 100.0), 5, -3.0).samples
+        assert np.array_equal(out, np.ldexp(base, k)), k
+
+
+def test_mix_to_snr_outgrowing_the_largest_float_raises():
+    clean = Signal(np.ldexp(np.sin(0.3 * np.arange(64)), 1023), 100.0)
+    with pytest.raises(ValueError, match="largest float"):
+        mix_to_snr(clean, 5, -30.0)
