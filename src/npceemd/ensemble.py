@@ -1,11 +1,21 @@
-"""Ensemble decompositions: EEMD, CEEMD, CEEMDAN, and NPCEEMD."""
+"""Ensemble decompositions: EEMD, CEEMD, CEEMDAN, and NPCEEMD.
+
+EEMD, CEEMD and NPCEEMD sift each noise realization independently. Once
+a process has spent ``workers.START_AFTER_S`` in such decompositions, the
+caller sifts realizations beside worker processes, one per usable CPU
+after its own (``workers.shared_pool``), and folds them in trial order,
+so the outputs are the same bits at any worker count. CEEMDAN's
+stage-wise loop runs in the caller.
+"""
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import workers
 from .emd import Extrema, ImfSet, SiftConfig, emd, mode_extrema, sift_mode, take_modes
 from .noise import generate_fgn, generate_white
 from .signals import Signal, _from_unit_peak, _to_unit_peak
@@ -50,6 +60,16 @@ def _trial_noise(cfg: EnsembleConfig, n: int, trial: int, fractional: bool) -> n
     return generate_white(n, seed)
 
 
+def _realization(
+    x: np.ndarray, rate_hz: float, scale: float, cfg: EnsembleConfig, trial: int,
+    fractional: bool, signs: tuple[float, ...],
+) -> list[ImfSet]:
+    """The trials of one noise realization: ``emd`` of x + sign * w for
+    each sign, with w the trial's noise times ``scale``."""
+    w = scale * _trial_noise(cfg, x.size, trial, fractional=fractional)
+    return [emd(Signal(x + sign * w, rate_hz), cfg.sift) for sign in signs]
+
+
 def _noise_ensemble(
     s: Signal, cfg: EnsembleConfig, fractional: bool, signs: tuple[float, ...]
 ) -> ImfSet:
@@ -57,23 +77,34 @@ def _noise_ensemble(
     and average all trials; with signs (+1, -1) the injected noise cancels
     in the mean.
 
-    Trials run in the order j+, j- and each is added to zero-started
-    running sums as soon as it finishes. A trial with fewer modes adds
-    nothing to the later sums, which biases late averaged modes toward
-    zero; the output count is the largest trial count.
+    Each realization is one task (``_realization``). Once the process has
+    spent ``workers.START_AFTER_S`` here, the caller runs them beside the
+    shared worker processes (``workers.shared_pool``) that are ready, and
+    alone before that. Either way the trials come back in the order j+, j- and
+    each is added to zero-started running sums as it arrives, so the
+    output is the same bits at any worker count; a trial's warnings and
+    error surface at its place in that order. A trial with fewer modes
+    adds nothing to the later sums, which biases late averaged modes
+    toward zero; the output count is the largest trial count.
     """
     x = s.samples
     scale = cfg.noise_scale * np.std(x)
+    tasks = [
+        (x, s.sample_rate_hz, scale, cfg, j, fractional, signs)
+        for j in range(cfg.ensemble_size)
+    ]
+    pool = workers.shared_pool(len(tasks))
+    realizations = pool.map(_realization, tasks) if pool else (_realization(*t) for t in tasks)
+    start = time.perf_counter()
     sums: list[np.ndarray] = []
     residue = np.zeros(x.size)
-    for j in range(cfg.ensemble_size):
-        w = scale * _trial_noise(cfg, x.size, j, fractional=fractional)
-        for sign in signs:
-            trial = emd(Signal(x + sign * w, s.sample_rate_hz), cfg.sift)
+    for trials in realizations:
+        for trial in trials:
             sums.extend(np.zeros(x.size) for _ in range(trial.n_imfs - len(sums)))
             for total, imf in zip(sums, trial.imfs):
                 total += imf
             residue += trial.residue
+    workers.add_work(time.perf_counter() - start)
     weight = 1.0 / (cfg.ensemble_size * len(signs))
     return ImfSet([total * weight for total in sums], residue * weight)
 

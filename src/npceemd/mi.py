@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -11,6 +10,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.special import digamma
 
+from . import workers
 from .emd import ImfSet
 from .signals import Signal, ZeroVariance, _to_unit_peak, kurtosis
 
@@ -143,15 +143,6 @@ def mi_stride(n: int) -> int:
     return max(1, math.ceil(n / MAX_MI_SAMPLES))
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the platform
-    has one, else the machine's count."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def score_imfs(raw: Signal, imf_set: ImfSet) -> list[MiScore]:
     """One MiScore per IMF, from KSG_K neighbours, order preserved.
 
@@ -178,7 +169,7 @@ def score_imfs(raw: Signal, imf_set: ImfSet) -> list[MiScore]:
     # that releases the GIL, so the IMFs are scored side by side. map yields
     # in IMF order and re-raises the first failure in that order; each
     # estimate is the same computation on any thread.
-    threads = max(1, min(imf_set.n_imfs, _usable_cpus()))
+    threads = max(1, min(imf_set.n_imfs, workers.usable_cpus()))
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(score, range(1, imf_set.n_imfs + 1), imf_set.imfs))
 

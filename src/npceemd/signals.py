@@ -107,15 +107,26 @@ def mix_to_snr(clean: Signal, noise_seed: Seed, snr_db: float) -> Signal:
     Deterministic for a fixed seed. The mix is made at a unit peak and
     scaled back, so ``mix_to_snr`` commutes with a power-of-two scale of
     the clean record bit for bit; a mix that outgrows the largest float
-    raises ValueError.
+    raises ValueError. So does an ``snr_db`` that is not finite, or whose
+    power ratio 10**(snr_db/10) underflows to 0 or overflows.
     """
+    snr_db = float(snr_db)
+    try:
+        ratio = 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        ratio = math.inf
+    if not 0.0 < ratio < math.inf:
+        raise ValueError(
+            f"snr_db must be finite, with 10**(snr_db/10) neither 0 nor "
+            f"overflowing, got {snr_db}"
+        )
     x, e = _to_unit_peak(clean.samples)
     p_clean = float(np.mean(x * x))
     if p_clean == 0.0:
         raise ValueError("clean signal has zero power")
     rng = np.random.default_rng(noise_seed)
     w = rng.standard_normal(x.size)
-    p_target = p_clean / 10.0 ** (snr_db / 10.0)
+    p_target = p_clean / ratio
     w *= np.sqrt(p_target / np.mean(w * w))
     w += x
     _from_unit_peak(e, w)

@@ -557,3 +557,12 @@ def test_mode_past_the_largest_float_names_the_file(tmp_path, capsys):
         assert run(command, str(path), "--method", "emd", "--out", str(out)) == EXIT_USAGE
         err = capsys.readouterr().err
         assert str(path) in err and "largest float" in err, (command, err)
+
+
+@pytest.mark.parametrize("snr_db", ["-3300", "-inf", "3300", "nan"])
+def test_simulate_rejects_snr_db_without_a_power_ratio(tmp_path, capsys, snr_db):
+    out = tmp_path / "out"
+    assert run("simulate", "combined", "--seed", "1", f"--snr-db={snr_db}",
+               "--out", str(out)) == EXIT_USAGE
+    assert "snr_db" in capsys.readouterr().err
+    assert not out.exists()

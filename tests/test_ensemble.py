@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from npceemd import EnsembleConfig, Signal, emd
-from npceemd import ensemble
+from npceemd import ensemble, workers
 from npceemd.emd import ImfSet, SiftConfig
 from npceemd.ensemble import METHODS, decompose
 from conftest import pearson
@@ -33,7 +33,9 @@ def cfg_for(method: str, **kw) -> EnsembleConfig:
 
 def spy_on_trials(monkeypatch):
     """Record each (trial, fractional, noise) that ``_trial_noise`` gives
-    and the samples of each signal the ensemble hands to ``emd``."""
+    and the samples of each signal the ensemble hands to ``emd``. The
+    trials run in the caller, where the spies are, not on workers."""
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 1)
     noises, inputs = [], []
     trial_noise, run_emd = ensemble._trial_noise, ensemble.emd
 
@@ -218,6 +220,7 @@ class TestPairSymmetry:
     def test_sign_convention_is_irrelevant(self, monkeypatch):
         # the +/- trial set is identical as a set, so globally negating the
         # injected noise (trials run j-, j+) cannot change the averaged output
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 1)  # the patch stays in the caller
         s = two_tone_signal()
         cfg = cfg_for("ceemd", ensemble_size=2)
         plus_first = decompose(s, cfg)
@@ -238,6 +241,7 @@ class TestAlignment:
         # order, and the output has as many modes as the longest trial. The
         # record peaks in [0.5, 1), so decompose's unit-peak scale is 2**0
         # and the mocked unit-scale trials come back unscaled
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 1)  # the mock stays in the caller
         n = 64
         ones = np.ones(n)
         s = Signal(np.arange(n) / n, 10.0)

@@ -20,7 +20,7 @@ from npceemd import (
     select_by_kurtosis,
     select_by_mi,
 )
-from npceemd import mi
+from npceemd import mi, workers
 from npceemd.emd import ImfSet
 from npceemd.mi import (
     DegenerateData,
@@ -331,7 +331,7 @@ class TestConcurrentScoring:
 
             # score_imfs must call the module-level name, which tracers patch
             monkeypatch.setattr(mi, "knn_mutual_information", spy)
-            monkeypatch.setattr(mi, "_usable_cpus", lambda threads=threads: threads)
+            monkeypatch.setattr(workers, "usable_cpus", lambda threads=threads: threads)
             results[threads] = score_bits(score_imfs(minute_440, imf_set))
             callers[threads] = seen
         assert results[1][-1][1:] == ((0.0).hex(), 3, True)
@@ -350,7 +350,7 @@ class TestConcurrentScoring:
         cfg = EnsembleConfig(method="npceemd", ensemble_size=2, master_seed=3)
         reports = {}
         for threads in (1, 2, 3):
-            monkeypatch.setattr(mi, "_usable_cpus", lambda threads=threads: threads)
+            monkeypatch.setattr(workers, "usable_cpus", lambda threads=threads: threads)
             reports[threads] = report_bits(diagnose(minute_440, cfg, target_hz=DEFECT_HZ))
         assert reports[1] == reports[2] == reports[3]
 
@@ -362,9 +362,9 @@ class TestConcurrentScoring:
         arrays = [raw * (0.1 * j) + rng.standard_normal(1500) for j in range(10)]
         arrays[4] = np.zeros(1500)
         imf_set = small_imf_set(arrays)
-        monkeypatch.setattr(mi, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 1)
         reference = score_bits(score_imfs(Signal(raw, 1000.0), imf_set))
-        monkeypatch.setattr(mi, "_usable_cpus", lambda: 8)
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 8)
         runs = []
 
         def hammer():

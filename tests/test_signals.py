@@ -146,3 +146,12 @@ def test_mix_to_snr_outgrowing_the_largest_float_raises():
     clean = Signal(np.ldexp(np.sin(0.3 * np.arange(64)), 1023), 100.0)
     with pytest.raises(ValueError, match="largest float"):
         mix_to_snr(clean, 5, -30.0)
+
+
+@pytest.mark.parametrize("snr_db", [-3300.0, -math.inf, 3300.0, math.inf, math.nan])
+def test_mix_to_snr_rejects_snr_db_without_a_power_ratio(snr_db):
+    # 10**(snr_db/10) underflows to 0, overflows, or is not a number: the
+    # error names the argument instead of failing deep in the arithmetic
+    clean = Signal(np.sin(0.3 * np.arange(64)), 100.0)
+    with pytest.raises(ValueError, match="snr_db"):
+        mix_to_snr(clean, 5, snr_db)
