@@ -18,7 +18,12 @@ the labels a fix changes on purpose. Against a tree that still has them:
   and writes nothing (`dia-mi-target-default` keeps that run's artifacts
   covered);
 - `dia-kurtosis-tiny` and `dia-kurtosis-huge` end in `ZeroDivisionError`
-  and in exit 3, where the kurtosis taken at a unit peak gives exit 0.
+  and in exit 3, where the kurtosis taken at a unit peak gives exit 0;
+- `x-fn-zero` ends in `ZeroDivisionError`, `x-fn-negative` exits 0 with a
+  record, and `x-severity-nan`, `x-dec-noise-scale-inf` and
+  `x-dia-noise-scale-inf` exit 2 only after generating or decomposing,
+  where `DefectSimParams`, `gen_defect_signal` and `EnsembleConfig` reject
+  the value first (exit 2, nothing written).
 
 The table runs in under ten seconds on two cores.
 
@@ -147,6 +152,11 @@ INVOCATIONS = [
     ("x-dia-rate-inf", ["diagnose", "@inputs/values.csv", "--sample-rate", "inf",
                         "--method", "emd"]),
     ("x-timed-tiny-dt", ["decompose", "@inputs/tiny_dt.csv", "--method", "emd"]),
+    ("x-fn-zero", ["simulate", "defect", "--seed", "1", "--fn", "0"]),
+    ("x-fn-negative", ["simulate", "defect", "--seed", "1", "--fn", "-5"]),
+    ("x-severity-nan", ["simulate", "defect", "--seed", "1", "--severity", "nan"]),
+    ("x-dec-noise-scale-inf", ["decompose", "@" + DEFECT, *SMALL, "--noise-scale", "inf"]),
+    ("x-dia-noise-scale-inf", ["diagnose", "@" + DEFECT, *SMALL, "--noise-scale", "inf"]),
 ]
 
 

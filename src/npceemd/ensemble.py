@@ -1,16 +1,14 @@
 """Ensemble decompositions: EEMD, CEEMD, CEEMDAN, and NPCEEMD.
 
-EEMD, CEEMD and NPCEEMD sift each noise realization independently. Once
-a process has spent ``workers.START_AFTER_S`` in such decompositions, the
-caller sifts realizations beside worker processes, one per usable CPU
-after its own (``workers.shared_pool``), and folds them in trial order,
-so the outputs are the same bits at any worker count. CEEMDAN's
-stage-wise loop runs in the caller.
+EEMD, CEEMD and NPCEEMD sift each noise realization independently, as one
+task of ``workers.map``, which decides whether it runs in the caller or
+on a worker process, and fold the trials in trial order, so the outputs
+are the same bits wherever they ran. CEEMDAN's stage-wise loop runs in
+the caller.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,8 +43,8 @@ class EnsembleConfig:
             raise ValueError(f"method must be one of {METHODS}")
         if self.ensemble_size < 1:
             raise ValueError("ensemble_size must be >= 1")
-        if not self.noise_scale > 0:
-            raise ValueError("noise_scale must be positive")
+        if not 0.0 < self.noise_scale < float("inf"):
+            raise ValueError("noise_scale must be positive and finite")
         if not 0.0 < self.hurst < 1.0:
             raise ValueError("hurst must lie strictly inside (0, 1)")
 
@@ -77,15 +75,14 @@ def _noise_ensemble(
     and average all trials; with signs (+1, -1) the injected noise cancels
     in the mean.
 
-    Each realization is one task (``_realization``). Once the process has
-    spent ``workers.START_AFTER_S`` here, the caller runs them beside the
-    shared worker processes (``workers.shared_pool``) that are ready, and
-    alone before that. Either way the trials come back in the order j+, j- and
-    each is added to zero-started running sums as it arrives, so the
-    output is the same bits at any worker count; a trial's warnings and
-    error surface at its place in that order. A trial with fewer modes
-    adds nothing to the later sums, which biases late averaged modes
-    toward zero; the output count is the largest trial count.
+    Each realization is one task (``_realization``) of ``workers.map``,
+    which runs it in the caller or on a worker process. Either way the
+    trials come back in the order j+, j- and each is added to zero-started
+    running sums as it arrives, so the output is the same bits at any
+    worker count; a trial's warnings and error surface at its place in
+    that order. A trial with fewer modes adds nothing to the later sums,
+    which biases late averaged modes toward zero; the output count is the
+    largest trial count.
     """
     x = s.samples
     scale = cfg.noise_scale * np.std(x)
@@ -93,18 +90,14 @@ def _noise_ensemble(
         (x, s.sample_rate_hz, scale, cfg, j, fractional, signs)
         for j in range(cfg.ensemble_size)
     ]
-    pool = workers.shared_pool(len(tasks))
-    realizations = pool.map(_realization, tasks) if pool else (_realization(*t) for t in tasks)
-    start = time.perf_counter()
     sums: list[np.ndarray] = []
     residue = np.zeros(x.size)
-    for trials in realizations:
+    for trials in workers.map(_realization, tasks):
         for trial in trials:
             sums.extend(np.zeros(x.size) for _ in range(trial.n_imfs - len(sums)))
             for total, imf in zip(sums, trial.imfs):
                 total += imf
             residue += trial.residue
-    workers.add_work(time.perf_counter() - start)
     weight = 1.0 / (cfg.ensemble_size * len(signs))
     return ImfSet([total * weight for total in sums], residue * weight)
 

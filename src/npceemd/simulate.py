@@ -94,10 +94,14 @@ class DefectSimParams:
                      "noise_sigma"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if not self.f_n < self.sample_rate_hz / 2.0:
-            raise ValueError("resonance frequency must be below Nyquist")
+        # f_n > 0 comes first: the period test divides by it.
+        if not 0.0 < self.f_n < self.sample_rate_hz / 2.0:
+            raise ValueError(
+                f"f_n must lie in (0, sample_rate_hz / 2), got f_n={self.f_n} "
+                f"and sample_rate_hz={self.sample_rate_hz}"
+            )
         if not self.T_prime > 1.0 / self.f_n:
-            raise ValueError("impulse period must exceed one resonance cycle")
+            raise ValueError("T_prime must exceed one resonance cycle, 1 / f_n")
         if self.jitter_frac < 0:
             raise ValueError("jitter_frac must be nonnegative")
         if self.noise_sigma < 0:
@@ -145,8 +149,8 @@ def gen_defect_signal(p: DefectSimParams, severity: float) -> Signal:
     deviation ``noise_sigma`` is added on top. Output is exactly linear
     in ``severity`` when the noise is off.
     """
-    if severity < 0:
-        raise ValueError("severity must be nonnegative")
+    if not (math.isfinite(severity) and severity >= 0):
+        raise ValueError(f"severity must be finite and nonnegative, got {severity}")
     rng = np.random.default_rng(p.seed)
     n = int(round(p.duration_s * p.sample_rate_hz))
     t = np.arange(n, dtype=np.float64) / p.sample_rate_hz

@@ -1,5 +1,12 @@
 """Worker processes that run a caller's tasks beside it, in task order.
 
+``map(fn, tasks)`` is the one entry. It yields ``fn(*args)`` for each
+task, in task order, and decides where each task runs: in the caller
+until the process has spent more than START_AFTER_S in maps, and then
+beside the process's workers, min(usable CPUs, tasks) - 1 of them, as
+the caller runs one task of each round itself. Importing this module
+starts nothing, and the workers end with the process.
+
 Each worker is a child interpreter started as
 ``python -c "...; from npceemd.workers import serve; serve()"``. It reads
 pickled ``(function, args, numpy error state)`` tasks on stdin and writes
@@ -11,12 +18,6 @@ main guard, or ``python -`` fed on stdin, fails with ``RuntimeError`` and
 a broken pool. It also leaves a resource tracker running for a few
 milliseconds after the caller exits. ``fork`` is unsafe in a process with
 threads, and ``score_imfs`` runs a thread pool.
-
-The caller runs tasks beside its workers, so a process with W + 1 usable
-CPUs starts at most W workers. Importing this module starts nothing.
-``shared_pool`` starts the process's workers once it has done more than
-START_AFTER_S of work that they could have run (``add_work``); they end
-with the process.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 import traceback
 import warnings
 from collections import deque
@@ -45,11 +47,11 @@ _SERVE = f"import sys; sys.path.insert(0, {_ROOT!r}); from npceemd.workers impor
 # Seconds that close() waits for a worker to exit after its stdin closes.
 CLOSE_TIMEOUT_S = 5.0
 
-# Seconds of work, counted by add_work, that a process does in the caller
-# before shared_pool starts its workers. A worker's start is about 0.5 s
-# of import beside the caller, which slows the caller's work meanwhile
-# and pays off only over the work that follows; a process whose work ends
-# before this never pays it.
+# Seconds that a process spends in maps, in the caller, before a map
+# starts its workers. A worker's start is about 0.5 s of import beside
+# the caller, which slows the caller's work meanwhile and pays off only
+# over the work that follows; a process whose work ends before this never
+# pays it.
 START_AFTER_S = 2.0
 
 # Registry for the warnings relayed from workers, so that the caller's
@@ -153,21 +155,27 @@ class _Worker:
             [sys.executable, "-c", _SERVE], stdin=subprocess.PIPE, stdout=subprocess.PIPE
         )
         self.served = 0
+        # None until the first message is read; then whether the worker
+        # imported this copy of the package.
+        self.ready: bool | None = None
 
-    def has_spoken(self) -> bool:
-        """Whether the worker has written, or closed its stdout, without
-        blocking. ``poll``, unlike ``select``, takes descriptors above 1023."""
-        poller = select.poll()
-        poller.register(self.proc.stdout, select.POLLIN)
-        return bool(poller.poll(0))
-
-    def runs_this_package(self) -> bool:
-        """Read the worker's first message: whether it imported this copy
-        of the package (False where its import failed)."""
-        try:
-            return pickle.load(self.proc.stdout) == ("ready", _package_file())
-        except (EOFError, pickle.UnpicklingError):
-            return False
+    def poll_ready(self) -> bool:
+        """Whether the worker is ready, reading its first message once it
+        has written it, or closed its stdout, without blocking. A worker
+        that imported another copy of the package, or none, is ended.
+        ``poll``, unlike ``select``, takes descriptors above 1023."""
+        if self.ready is None:
+            poller = select.poll()
+            poller.register(self.proc.stdout, select.POLLIN)
+            if poller.poll(0):
+                try:
+                    self.ready = pickle.load(self.proc.stdout) == ("ready", _package_file())
+                except (EOFError, pickle.UnpicklingError):
+                    self.ready = False
+                if not self.ready:
+                    self.close()
+                    self.reap()
+        return bool(self.ready)
 
     def send(self, task: bytes) -> None:
         try:
@@ -185,11 +193,7 @@ class _Worker:
         return reply
 
     def _ended(self) -> WorkerError:
-        try:
-            code = self.proc.wait(CLOSE_TIMEOUT_S)
-        except subprocess.TimeoutExpired:
-            code = "none: it closed its pipe but did not exit"
-        return WorkerError(f"worker process {self.proc.pid} ended with exit code {code}")
+        return WorkerError(f"worker process {self.proc.pid} ended with exit code {self.reap()}")
 
     def close(self) -> None:
         for pipe in (self.proc.stdin, self.proc.stdout):
@@ -198,12 +202,14 @@ class _Worker:
             except OSError:
                 pass  # a worker that has ended leaves a broken pipe to flush
 
-    def reap(self) -> None:
+    def reap(self) -> int:
+        """Wait up to CLOSE_TIMEOUT_S for the worker to exit, kill it if it
+        has not, and return its exit code."""
         try:
-            self.proc.wait(CLOSE_TIMEOUT_S)
+            return self.proc.wait(CLOSE_TIMEOUT_S)
         except subprocess.TimeoutExpired:
             self.proc.kill()
-            self.proc.wait()
+            return self.proc.wait()
 
 
 def _unpack(reply: tuple[bool, Any, list]) -> Any:
@@ -233,33 +239,20 @@ class WorkerPool:
         self._lock = threading.Lock()
         self.closed = False
         self.workers: list[_Worker] = []
-        self._starting: list[_Worker] = []
-        self._ready: list[_Worker] = []
         self.grow(count)
 
     def grow(self, count: int) -> None:
         """Start workers until the pool has count of them."""
         try:
             while len(self.workers) < count:
-                worker = _Worker()
-                self.workers.append(worker)
-                self._starting.append(worker)
+                self.workers.append(_Worker())
         except OSError:
             self.close()
             raise
 
     def ready(self) -> list[_Worker]:
-        """Poll the starting workers without blocking and return the ready
-        ones. A worker that imported another copy of the package, or none,
-        is ended and never used."""
-        for worker in [w for w in self._starting if w.has_spoken()]:
-            self._starting.remove(worker)
-            if worker.runs_this_package():
-                self._ready.append(worker)
-            else:
-                worker.close()
-                worker.reap()
-        return list(self._ready)
+        """The ready workers, polled without blocking."""
+        return [worker for worker in self.workers if worker.poll_ready()]
 
     def map(self, fn: Callable, tasks: Sequence[tuple]) -> Iterator:
         """Yield ``fn(*args)`` for each task, in task order.
@@ -269,13 +262,14 @@ class WorkerPool:
         the workers' results in order. One task is in flight per worker,
         so blocking pipes cannot deadlock and at most one result per
         worker waits in memory. A task that cannot be pickled, and every
-        task while no worker is ready or while another thread is using
-        the workers, runs in the caller. A worker's task runs under the
+        task while no worker is ready, while another thread is using the
+        workers, or once the pool is closed or in a process other than
+        its owner, runs in the caller. A worker's task runs under the
         caller's numpy error state; its warnings are re-emitted and its
         exception re-raised at its place in task order. A worker that ends
         raises WorkerError and closes the pool.
         """
-        if not self._lock.acquire(blocking=False):
+        if self.closed or os.getpid() != self._owner or not self._lock.acquire(blocking=False):
             yield from (fn(*args) for args in tasks)
             return
         flight: deque[_Worker] = deque()
@@ -323,58 +317,48 @@ class WorkerPool:
         if self.closed or os.getpid() != self._owner:
             return
         self.closed = True
-        for worker in self._starting:
-            worker.proc.kill()
-        self._starting, self._ready = [], []
         for worker in self.workers:
+            if worker.ready is None:
+                worker.proc.kill()
+            worker.ready = False
             worker.close()
         for worker in self.workers:
             worker.reap()
 
 
-_shared: WorkerPool | None = None
-_shared_work_s = 0.0
-_shared_lock = threading.Lock()
+_pool: WorkerPool | None = None
+_work_s = 0.0
+_pool_lock = threading.Lock()
 
 
-def _close_shared() -> None:
-    if _shared is not None:
-        _shared.close()
+def map(fn: Callable, tasks: Sequence[tuple]) -> Iterator:
+    """Yield ``fn(*args)`` for each task, in task order, on the process's
+    workers beside the caller (``WorkerPool.map``) or in the caller.
 
-
-def add_work(seconds: float) -> None:
-    """Count seconds of work that the shared pool could have run."""
-    global _shared_work_s
-    with _shared_lock:
-        _shared_work_s += seconds
-
-
-def shared_pool(tasks: int) -> WorkerPool | None:
-    """The process's workers for a map of ``tasks`` tasks, or None.
-
-    The caller runs one task of each round itself, so the pool holds
-    min(usable CPUs, tasks) - 1 workers, and it grows when a later map has
-    more tasks. None where that is no worker, on Windows, which cannot
-    poll a pipe, and until the process has done more than START_AFTER_S
-    of work (``add_work``), so a process's first map never starts a
-    process. Then the workers start, and take tasks once each has
-    imported the package; a pool that was closed is replaced. The workers
-    are closed at exit.
+    Each map counts the seconds from its first result asked for to its
+    end as the process's work. The tasks run in the caller while that work
+    is at most START_AFTER_S, so a process's first map never starts a
+    process; where min(usable CPUs, tasks) - 1 is no worker; on Windows,
+    which cannot poll a pipe; and where no process could be started.
+    Otherwise the process's pool holds that many workers: it starts, or
+    grows when a map has more tasks, and a pool that was closed, or that
+    another process started, is replaced. The workers are closed at exit.
     """
-    global _shared
-    count = min(usable_cpus(), tasks) - 1
-    if count < 1 or sys.platform == "win32":
-        return None
-    with _shared_lock:
-        if _shared_work_s <= START_AFTER_S:
-            return None
-        try:
-            if _shared is None or _shared.closed or _shared._owner != os.getpid():
-                if _shared is None:
-                    atexit.register(_close_shared)
-                _shared = WorkerPool(count)
-            else:
-                _shared.grow(count)
-        except OSError:
-            return None  # no process could be started: run in the caller
-        return _shared
+    global _pool, _work_s
+    pool = None
+    count = min(usable_cpus(), len(tasks)) - 1
+    with _pool_lock:
+        if count >= 1 and sys.platform != "win32" and _work_s > START_AFTER_S:
+            try:
+                if _pool is None or _pool.closed or _pool._owner != os.getpid():
+                    _pool = WorkerPool(count)
+                    atexit.register(_pool.close)
+                else:
+                    _pool.grow(count)
+                pool = _pool
+            except OSError:
+                pass  # no process could be started: run in the caller
+    start = time.perf_counter()
+    yield from ((fn(*args) for args in tasks) if pool is None else pool.map(fn, tasks))
+    with _pool_lock:
+        _work_s += time.perf_counter() - start

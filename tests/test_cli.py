@@ -469,9 +469,10 @@ def test_defaults_come_from_the_library_configs(tmp_path, tone_csv):
     [["--k", "0"], ["--k", "6000"], ["--target-hz", "0"], ["--target-hz", "-1"],
      ["--target-hz", "nan"], ["--target-hz", "1e9"], ["--mi-threshold", "nan"],
      ["--mi-threshold", "inf"], ["--select", "kurtosis", "--target-hz", "1e9"],
-     ["--sample-rate", "123"]],
+     ["--sample-rate", "123"], ["--noise-scale", "inf"]],
     ids=["k-zero", "k-huge", "target-zero", "target-negative", "target-nan", "target-huge",
-         "threshold-nan", "threshold-inf", "kurtosis-target-huge", "rate-beside-time"],
+         "threshold-nan", "threshold-inf", "kurtosis-target-huge", "rate-beside-time",
+         "noise-scale-inf"],
 )
 def test_diagnose_rejects_bad_options_before_decomposing(tmp_path, tone_csv, monkeypatch,
                                                          options):
@@ -488,6 +489,19 @@ def test_simulate_options_follow_the_fixture_name(tmp_path):
     # DefectSimParams rejects a zero rate; there is no CLI fallback rate.
     assert run("simulate", "defect", "--seed", "1", "--sample-rate", "0",
                "--out", str(tmp_path)) == EXIT_USAGE
+    assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [(["--fn", "0"], "f_n"), (["--severity", "nan"], "severity")],
+    ids=["fn-zero", "severity-nan"],
+)
+def test_simulate_defect_names_the_bad_parameter(tmp_path, capsys, argv, field):
+    # --fn 0 used to end in a ZeroDivisionError traceback, and a NaN
+    # severity in an error about the samples
+    assert run("simulate", "defect", "--seed", "1", *argv, "--out", str(tmp_path)) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: {field} must")
     assert not os.listdir(tmp_path)
 
 

@@ -319,6 +319,8 @@ class TestConfigValidation:
             EnsembleConfig(ensemble_size=0)
         with pytest.raises(ValueError):
             EnsembleConfig(noise_scale=0.0)
+        with pytest.raises(ValueError, match="noise_scale"):
+            EnsembleConfig(noise_scale=float("inf"))
         with pytest.raises(ValueError):
             EnsembleConfig(hurst=1.0)
 

@@ -159,10 +159,17 @@ class TestDegradationRun:
 
 
 def test_invalid_params_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="f_n"):
         DefectSimParams(f_n=6000.0)  # above Nyquist
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="T_prime"):
         DefectSimParams(T_prime=0.0001)  # shorter than a resonance cycle
+    # f_n is checked before the period test divides by it
+    for f_n, t_prime in [(0.0, 0.015), (-5.0, 0.015), (-100.0, -0.001)]:
+        with pytest.raises(ValueError, match="f_n"):
+            DefectSimParams(f_n=f_n, T_prime=t_prime)
+    for severity in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="severity"):
+            gen_defect_signal(DefectSimParams(), severity)
     with pytest.raises(ValueError):
         gen_degradation_run(DefectSimParams(), 0)
 

@@ -62,10 +62,14 @@ def test_outputs_are_the_same_bits_at_any_worker_count(pool, method, monkeypatch
     t = np.arange(1024) / 1024.0
     s = Signal(np.sin(2 * np.pi * 160.0 * t) + 2.0 * np.sin(2 * np.pi * 9.0 * t), 1024.0)
     cfg = EnsembleConfig(method=method, ensemble_size=4, master_seed=5)
-    monkeypatch.setattr(workers, "shared_pool", lambda tasks: None)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 1)
     serial = decompose(s, cfg)
     before = served(pool)
-    monkeypatch.setattr(workers, "shared_pool", lambda tasks: pool)
+    # workers.map takes pool as the process's, with its workers' start
+    # due and a CPU for each worker and the caller, so it starts no more
+    monkeypatch.setattr(workers, "_pool", pool)
+    monkeypatch.setattr(workers, "_work_s", workers.START_AFTER_S + 1.0)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: len(pool.workers) + 1)
     spread = decompose(s, cfg)
     # the caller took the first of the four realizations, and each worker
     # one of the next
@@ -161,6 +165,15 @@ def test_a_task_that_cannot_be_pickled_is_an_error_in_order(pool):
     assert served(pool) == before
     assert list(pool.map(divmod, [(7, 2), (9, 4)])) == [(3, 1), (2, 1)]
 
+def test_a_map_beside_a_running_map_runs_in_the_caller(pool):
+    # the first map holds the workers, with a task in flight; a second map
+    # meanwhile runs every task in the caller, and the first one then ends
+    first = pool.map(divmod, [(7, 2), (9, 4), (8, 3)])
+    assert next(first) == (3, 1)
+    assert list(pool.map(os.getpid, [()] * 3)) == [os.getpid()] * 3
+    assert list(first) == [(2, 1), (2, 2)]
+
+
 def test_a_worker_that_ends_raises_with_its_exit_code():
     pool = WorkerPool(1)
     try:
@@ -168,7 +181,7 @@ def test_a_worker_that_ends_raises_with_its_exit_code():
         # the caller runs the first task and the worker the second
         with pytest.raises(WorkerError, match="exit code 3"):
             list(pool.map(eval, [("0",), ("__import__('os')._exit(3)",)]))
-        assert pool.closed
+        assert pool.closed and pool.ready() == []
         # a closed pool runs the tasks in the caller
         assert list(pool.map(divmod, [(7, 2)])) == [(3, 1)]
     finally:
@@ -177,36 +190,48 @@ def test_a_worker_that_ends_raises_with_its_exit_code():
 
 @pytest.fixture
 def fresh_shared(monkeypatch):
-    """The shared pool's state as in a new process, on 8 CPUs."""
+    """The process's pool and work as in a new process, on 8 CPUs."""
     monkeypatch.setattr(workers, "usable_cpus", lambda: 8)
-    monkeypatch.setattr(workers, "_shared", None)
-    monkeypatch.setattr(workers, "_shared_work_s", 0.0)
+    monkeypatch.setattr(workers, "_pool", None)
+    monkeypatch.setattr(workers, "_work_s", 0.0)
     monkeypatch.setattr(workers.atexit, "register", lambda fn: None)
     yield
-    if workers._shared is not None:
-        workers._shared.close()
+    if workers._pool is not None:
+        workers._pool.close()
 
 
 def test_the_shared_pool_starts_after_enough_work(fresh_shared, monkeypatch):
-    monkeypatch.setattr(workers, "START_AFTER_S", 1.0)
-    assert workers.shared_pool(3) is None  # no work done yet
-    workers.add_work(0.6)
-    workers.add_work(0.4)
-    assert workers.shared_pool(3) is None  # not more than START_AFTER_S
-    workers.add_work(0.01)
-    assert workers.shared_pool(3) is workers._shared is not None
+    # a map's seconds count as work; maps run in the caller until more
+    # than START_AFTER_S of it is done, and the next map starts the workers
+    monkeypatch.setattr(workers, "START_AFTER_S", 0.2)
+    assert list(workers.map(divmod, [(7, 2)] * 3)) == [(3, 1)] * 3
+    assert workers._pool is None and workers._work_s <= 0.2
+    assert list(workers.map(time.sleep, [(0.11,)] * 2)) == [None, None]
+    assert workers._pool is None and workers._work_s > 0.2
+    assert list(workers.map(divmod, [(7, 2)] * 3)) == [(3, 1)] * 3
+    assert workers._pool is not None
 
 
 def test_the_shared_pool_holds_a_worker_per_task_after_the_callers(fresh_shared, monkeypatch):
     # on 8 CPUs a map of 3 tasks starts 2 workers, not 8; a later map of 4
     # adds one and a map of 2 keeps them
     monkeypatch.setattr(workers, "START_AFTER_S", 0.0)
-    workers.add_work(0.01)
-    pool = workers.shared_pool(3)
+    monkeypatch.setattr(workers, "_work_s", 0.01)
+    list(workers.map(divmod, [(7, 2)] * 3))
+    pool = workers._pool
     assert len(pool.workers) == 2
-    assert workers.shared_pool(4) is pool and len(pool.workers) == 3
-    assert workers.shared_pool(2) is pool and len(pool.workers) == 3
-    assert workers.shared_pool(1) is None
+    list(workers.map(divmod, [(7, 2)] * 4))
+    assert workers._pool is pool and len(pool.workers) == 3
+    list(workers.map(divmod, [(7, 2)] * 2))
+    assert workers._pool is pool and len(pool.workers) == 3
+    # one task, or one usable CPU, leaves no worker to use: the map runs
+    # in the caller even beside ready workers
+    wait_ready(pool, 3)
+    before = served(pool)
+    assert list(workers.map(os.getpid, [()])) == [os.getpid()]
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 1)
+    assert list(workers.map(os.getpid, [()] * 3)) == [os.getpid()] * 3
+    assert served(pool) == before
 
 
 def test_a_worker_that_imported_another_copy_is_not_used(monkeypatch):
@@ -274,7 +299,7 @@ def test_workers_end_with_the_process():
     decompose(s, cfg)
     while time.monotonic() < deadline:
         decompose(s, cfg)
-        pids = [w.proc.pid for w in workers._shared.workers if w.served]
+        pids = [w.proc.pid for w in workers._pool.workers if w.served]
         if pids:
             break
         time.sleep(0.05)
