@@ -2,7 +2,8 @@
 
 Each invocation writes under ``OUT/<label>/``; ``OUT/exit_codes.txt``
 lists every label with its exit code (or the name of the exception it
-raised) and ``OUT/stdout.txt`` what each one printed. Running the table
+raised), ``OUT/stdout.txt`` what each one printed and ``OUT/stderr.txt``
+its error messages, with OUT written as ``OUT``. Running the table
 against two source trees and comparing the outputs shows whether a CLI
 change keeps its artifacts byte for byte:
 
@@ -23,7 +24,11 @@ the labels a fix changes on purpose. Against a tree that still has them:
   record, and `x-severity-nan`, `x-dec-noise-scale-inf` and
   `x-dia-noise-scale-inf` exit 2 only after generating or decomposing,
   where `DefectSimParams`, `gen_defect_signal` and `EnsembleConfig` reject
-  the value first (exit 2, nothing written).
+  the value first (exit 2, nothing written);
+- `x-sim-seed-negative`, `x-dec-seed-negative` and `x-dia-seed-negative`
+  exit 2 with numpy's "expected non-negative integer", the last two
+  blaming the input file, where `--seed` is refused at parse time with a
+  message that names it (exit 2 either way, nothing written).
 
 The table runs in under ten seconds on two cores.
 
@@ -157,6 +162,10 @@ INVOCATIONS = [
     ("x-severity-nan", ["simulate", "defect", "--seed", "1", "--severity", "nan"]),
     ("x-dec-noise-scale-inf", ["decompose", "@" + DEFECT, *SMALL, "--noise-scale", "inf"]),
     ("x-dia-noise-scale-inf", ["diagnose", "@" + DEFECT, *SMALL, "--noise-scale", "inf"]),
+    # a negative seed, refused at parse time
+    ("x-sim-seed-negative", ["simulate", "defect", "--seed", "-1"]),
+    ("x-dec-seed-negative", ["decompose", "@" + DEFECT, "--method", "npceemd", "--seed", "-1"]),
+    ("x-dia-seed-negative", ["diagnose", "@" + DEFECT, "--method", "npceemd", "--seed", "-1"]),
 ]
 
 
@@ -192,21 +201,27 @@ def main() -> int:
     from npceemd.cli import main as cli_main
 
     write_inputs(args.out, npceemd)
-    codes, printed = [], []
+    codes, printed, errors = [], [], []
     for label, argv in INVOCATIONS:
         argv = [os.path.join(args.out, a[1:]) if a.startswith("@") else a for a in argv]
-        stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             try:
                 code = cli_main([*argv, "--out", os.path.join(args.out, label)])
             except Exception as exc:  # a crash is an outcome to compare, too
                 code = type(exc).__name__
         codes.append(f"{label} {code}\n")
         printed.extend(f"{label}: {line}\n" for line in stdout.getvalue().splitlines())
+        errors.extend(
+            f"{label}: {line}\n"
+            for line in stderr.getvalue().replace(args.out, "OUT").splitlines()
+        )
     with open(os.path.join(args.out, "exit_codes.txt"), "w") as fh:
         fh.writelines(codes)
     with open(os.path.join(args.out, "stdout.txt"), "w") as fh:
         fh.writelines(printed)
+    with open(os.path.join(args.out, "stderr.txt"), "w") as fh:
+        fh.writelines(errors)
     return 0
 
 

@@ -203,6 +203,17 @@ def _write_run(path: str, manifest: dict, run: DegradationRun) -> None:
     ))
 
 
+def _seed(text: str) -> int:
+    """``--seed``: a non-negative integer, checked before anything runs."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = None
+    if seed is None or seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, not {text!r}")
+    return seed
+
+
 def _require_seed(args: argparse.Namespace, why: str) -> int:
     if args.seed is None:
         raise ParseError(f"--seed is required {why} (no wall-clock default)")
@@ -443,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     # Option groups; each subcommand and each simulate fixture takes only the groups it reads.
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="64-bit RNG seed")
+    common.add_argument("--seed", type=_seed, default=None, help="64-bit RNG seed")
     common.add_argument("--out", default=".", help="output directory")
     rate = argparse.ArgumentParser(add_help=False)
     rate.add_argument("--sample-rate", type=float, default=None,

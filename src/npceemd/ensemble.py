@@ -3,12 +3,14 @@
 EEMD, CEEMD and NPCEEMD sift each noise realization independently, as one
 task of ``workers.map``, which decides whether it runs in the caller or
 on a worker process, and fold the trials in trial order, so the outputs
-are the same bits wherever they ran. CEEMDAN's stage-wise loop runs in
-the caller.
+are the same bits wherever they ran. CEEMDAN maps its noise realizations'
+EMDs the same way, and then each stage's sifts, one map per stage; the
+stages themselves follow one another in the caller.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +21,10 @@ from .noise import generate_fgn, generate_white
 from .signals import Signal, _from_unit_peak, _to_unit_peak
 
 METHODS = ("emd", "eemd", "ceemd", "ceemdan", "npceemd")
+
+
+def _is_integral(value: object) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -41,8 +47,14 @@ class EnsembleConfig:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
+        if not _is_integral(self.ensemble_size):
+            raise ValueError("ensemble_size must be an integer")
         if self.ensemble_size < 1:
             raise ValueError("ensemble_size must be >= 1")
+        if not _is_integral(self.master_seed):
+            raise ValueError("master_seed must be an integer")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be >= 0")
         if not 0.0 < self.noise_scale < float("inf"):
             raise ValueError("noise_scale must be positive and finite")
         if not 0.0 < self.hurst < 1.0:
@@ -102,6 +114,18 @@ def _noise_ensemble(
     return ImfSet([total * weight for total in sums], residue * weight)
 
 
+def _noise_modes(cfg: EnsembleConfig, n: int, rate_hz: float, j: int) -> list[np.ndarray]:
+    """The EMD modes of trial j's white noise, for CEEMDAN's stages."""
+    return emd(Signal(_trial_noise(cfg, n, j, fractional=False), rate_hz), cfg.sift).imfs
+
+
+def _stage_mode(perturbed: np.ndarray, sift: SiftConfig) -> np.ndarray:
+    """The first mode of one perturbed residue: itself when it has too
+    few extrema to sift."""
+    extrema = mode_extrema(perturbed)
+    return perturbed if extrema is None else sift_mode(perturbed, extrema, sift)
+
+
 def _ceemdan(s: Signal, cfg: EnsembleConfig) -> ImfSet:
     """Stage-wise ensemble with adaptive noise.
 
@@ -111,20 +135,25 @@ def _ceemdan(s: Signal, cfg: EnsembleConfig) -> ImfSet:
     of first modes, subtracts it, and repeats until a ``take_modes`` stop.
     The telescoping updates make the reconstruction exact up to float
     accumulation.
+
+    The noise realizations' EMDs are one ``workers.map``, and each stage's
+    sifts another; a stage adds its first modes in trial order into a
+    zero-started sum, so the output is the same bits at any worker count.
     """
     x = s.samples
-    noise_modes = []
-    for j in range(cfg.ensemble_size):
-        w = _trial_noise(cfg, x.size, j, fractional=False)
-        noise_modes.append(emd(Signal(w, s.sample_rate_hz), cfg.sift).imfs)
+    noise_modes = list(workers.map(
+        _noise_modes, [(cfg, x.size, s.sample_rate_hz, j) for j in range(cfg.ensemble_size)]
+    ))
 
     def stage(residue: np.ndarray, _: Extrema, k: int) -> np.ndarray:
         eps = cfg.noise_scale * np.std(residue)
+        tasks = [
+            (residue + eps * modes[k] if k < len(modes) else residue, cfg.sift)
+            for modes in noise_modes
+        ]
         total = np.zeros(x.size)
-        for modes in noise_modes:
-            perturbed = residue + eps * modes[k] if k < len(modes) else residue
-            extrema = mode_extrema(perturbed)
-            total += perturbed if extrema is None else sift_mode(perturbed, extrema, cfg.sift)
+        for mode in workers.map(_stage_mode, tasks):
+            total += mode
         return total / cfg.ensemble_size
 
     return take_modes(x.copy(), cfg.sift.mode_cap(x.size), stage)

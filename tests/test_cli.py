@@ -493,6 +493,25 @@ def test_simulate_options_follow_the_fixture_name(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "command", ["combined-noisy", "defect", "degradation-run", "decompose", "diagnose", "compare"]
+)
+def test_a_negative_seed_is_a_usage_error_naming_the_flag(tmp_path, tone_csv, capsys, command):
+    # it used to fail inside numpy: after generating, or blaming the input file
+    argv = {
+        "combined-noisy": ["simulate", "combined-noisy"],
+        "defect": ["simulate", "defect"],
+        "degradation-run": ["simulate", "degradation-run"],
+        "decompose": ["decompose", tone_csv, "--method", "npceemd"],
+        "diagnose": ["diagnose", tone_csv, "--method", "npceemd"],
+        "compare": ["compare", "--fixture", "combined-noisy", "--methods", "npceemd"],
+    }[command]
+    out = tmp_path / "out"
+    assert run(*argv, "--seed", "-1", "--out", str(out)) == EXIT_USAGE
+    assert "argument --seed: must be a non-negative integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "argv, field",
     [(["--fn", "0"], "f_n"), (["--severity", "nan"], "severity")],
     ids=["fn-zero", "severity-nan"],

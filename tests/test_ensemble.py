@@ -323,6 +323,15 @@ class TestConfigValidation:
             EnsembleConfig(noise_scale=float("inf"))
         with pytest.raises(ValueError):
             EnsembleConfig(hurst=1.0)
+        # a fractional seed used to run as its integer part, a negative one
+        # failed inside numpy, and a fractional size raised TypeError
+        for seed in (1.5, -1, 2.0, True):
+            with pytest.raises(ValueError, match="master_seed"):
+                EnsembleConfig(master_seed=seed)
+        for size in (2.5, 2.0, 0, -3):
+            with pytest.raises(ValueError, match="ensemble_size"):
+                EnsembleConfig(ensemble_size=size)
+        assert EnsembleConfig(master_seed=np.int64(3), ensemble_size=np.int64(2)).master_seed == 3
 
     def test_emd_dispatch(self):
         s = two_tone_signal()

@@ -1,6 +1,6 @@
-"""The worker processes that sift an ensemble's noise realizations: outputs
-at any worker count, task order for results, warnings and errors, and the
-workers' lifetime."""
+"""The worker processes that sift an ensemble's noise realizations and
+CEEMDAN's stages: outputs at any worker count, task order for results,
+warnings and errors, and the workers' lifetime."""
 
 import os
 import subprocess
@@ -57,7 +57,7 @@ class Unsent(int):
         raise TypeError("an Unsent stays in its process")
 
 
-@pytest.mark.parametrize("method", ["eemd", "ceemd", "npceemd"])
+@pytest.mark.parametrize("method", ["eemd", "ceemd", "ceemdan", "npceemd"])
 def test_outputs_are_the_same_bits_at_any_worker_count(pool, method, monkeypatch):
     t = np.arange(1024) / 1024.0
     s = Signal(np.sin(2 * np.pi * 160.0 * t) + 2.0 * np.sin(2 * np.pi * 9.0 * t), 1024.0)
@@ -71,8 +71,9 @@ def test_outputs_are_the_same_bits_at_any_worker_count(pool, method, monkeypatch
     monkeypatch.setattr(workers, "_work_s", workers.START_AFTER_S + 1.0)
     monkeypatch.setattr(workers, "usable_cpus", lambda: len(pool.workers) + 1)
     spread = decompose(s, cfg)
-    # the caller took the first of the four realizations, and each worker
-    # one of the next
+    # the caller took the first of the four realizations (for ceemdan, of
+    # the noise EMDs and of each stage's sifts), and each worker one of the
+    # next
     assert all(after > b for after, b in zip(served(pool), before))
     assert spread.n_imfs == serial.n_imfs
     for a, b in zip(spread.imfs + [spread.residue], serial.imfs + [serial.residue]):
@@ -269,17 +270,30 @@ DECOMPOSE = """
 """
 
 
-def test_one_decomposition_starts_no_process():
-    # not even when no work at all is needed before the workers start
-    out = run_fresh(DECOMPOSE + """
-    workers.START_AFTER_S = 0.0
-    decompose(s, cfg)
+CHILDREN = """
     try:
         os.waitpid(-1, os.WNOHANG)
         print("a child process")
     except ChildProcessError:
         print("no child process")
-    """)
+"""
+
+
+def test_one_decomposition_starts_no_process():
+    # not even when no work at all is needed before the workers start
+    out = run_fresh(DECOMPOSE + """
+    workers.START_AFTER_S = 0.0
+    decompose(s, cfg)
+    """ + CHILDREN)
+    assert out.strip() == "no child process"
+
+
+def test_one_ceemdan_decomposition_starts_no_process():
+    # ceemdan maps its noise EMDs and then each stage's sifts; the maps of
+    # one small decomposition stay under START_AFTER_S
+    out = run_fresh(DECOMPOSE + """
+    decompose(s, EnsembleConfig(method="ceemdan", ensemble_size=4))
+    """ + CHILDREN)
     assert out.strip() == "no child process"
 
 
