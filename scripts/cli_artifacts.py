@@ -53,6 +53,34 @@ FIXTURE_FLAGS = [
     "--noise-sigma", "2",
 ]
 
+# Odd-CSV inputs: name -> (extra argv, text). A 64-sample record spaced
+# 2 ms, as time,value rows; line k of a file is row k - 1 after a header.
+_TIMES = [k / 500 for k in range(64)]
+_VALUES = [((k * 7919) % 101 - 50) / 25.0 for k in range(64)]
+_ROWS = [f"{t!r},{v!r}" for t, v in zip(_TIMES, _VALUES)]
+ODD_CSV = {
+    "comments.csv": ([], "# a note\ntime,value\n" + "".join(
+        f"{row}\n" + ("# between rows\n\n   \n" if k % 16 == 7 else "")
+        for k, row in enumerate(_ROWS))),
+    "header-only.csv": ([], "time,value\n"),
+    "empty.csv": ([], ""),
+    "bad-token.csv": ([], "time,value\n" + "\n".join(
+        _ROWS[:9] + [f"{_TIMES[9]!r},oops"] + _ROWS[10:]) + "\n"),
+    "header-after.csv": ([], "time,value\n" + "\n".join(
+        _ROWS[:40] + ["time,value"] + _ROWS[40:]) + "\n"),
+    "three-columns.csv": ([], "a,b,c\n" + "".join(f"{row},0.5\n" for row in _ROWS)),
+    "ragged.csv": ([], "time,value\n" + "\n".join(
+        _ROWS[:20] + [repr(_TIMES[20])] + _ROWS[21:]) + "\n"),
+    "inline-hash.csv": ([], "time,value\n" + "\n".join(
+        _ROWS[:5] + [_ROWS[5] + " # spike"] + _ROWS[6:]) + "\n"),
+    "underscores.csv": (["--sample-rate", "500"], "value\n" + "".join(
+        f"{k % 7 - 3}_{k % 10}00.5\n" for k in range(64))),
+    "crlf.csv": ([], "time,value\r\n" + "".join(f"{row}\r\n" for row in _ROWS)),
+    "nonuniform.csv": ([], "time,value\n" + "".join(
+        f"{t + (1e-4 if k == 30 else 0.0)!r},{v!r}\n"
+        for k, (t, v) in enumerate(zip(_TIMES, _VALUES)))),
+}
+
 # (label, argv without --out). A path under OUT is written as "@label/file"
 # and must come from an earlier row.
 INVOCATIONS = [
@@ -166,13 +194,18 @@ INVOCATIONS = [
     ("x-sim-seed-negative", ["simulate", "defect", "--seed", "-1"]),
     ("x-dec-seed-negative", ["decompose", "@" + DEFECT, "--method", "npceemd", "--seed", "-1"]),
     ("x-dia-seed-negative", ["diagnose", "@" + DEFECT, "--method", "npceemd", "--seed", "-1"]),
+    # odd CSV input: each file of ODD_CSV, read by decompose; the ones
+    # that read exit 0, the others exit 2 with a message naming the line
+    *((f"csv-{name[:-4]}", ["decompose", "@inputs/" + name, *rate, "--method", "emd",
+                            "--max-imfs", "2"])
+      for name, (rate, _) in sorted(ODD_CSV.items())),
 ]
 
 
 def write_inputs(out: str, npceemd) -> None:
     """Records `simulate` does not write: single-column ones (one alternates
     +-2**1023, two hold the seed-4 severity-8 defect record at peaks of
-    1e-100 and 1e200) and a time column spaced by 5e-324."""
+    1e-100 and 1e200), a time column spaced by 5e-324, and ODD_CSV."""
     os.makedirs(os.path.join(out, "inputs"))
     defect = npceemd.gen_defect_signal(npceemd.DefectSimParams(seed=4), 8.0).samples
     unit = defect / max(abs(defect))
@@ -186,6 +219,9 @@ def write_inputs(out: str, npceemd) -> None:
     for name, lines in inputs.items():
         with open(os.path.join(out, "inputs", name), "w") as fh:
             fh.write("\n".join(lines) + "\n")
+    for name, (_, text) in ODD_CSV.items():
+        with open(os.path.join(out, "inputs", name), "w", newline="") as fh:
+            fh.write(text)
 
 
 def main() -> int:

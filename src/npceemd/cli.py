@@ -17,7 +17,7 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -88,17 +88,39 @@ def _atomic_write(path: str, lines: Iterable[str]) -> None:
         raise
 
 
-def _write_csv(
-    path: str, manifest: dict, header: Iterable[str], rows: Iterable[Iterable]
-) -> None:
-    """Manifest line, header, then one line per row of Python scalars.
+# Rows formatted and written per block: the whole of a 32768-row table
+# at once would hold every cell's text in memory together.
+CSV_BLOCK_ROWS = 2048
 
-    ``str`` of a Python float is its ``repr``, the shortest round-trip
-    form, so identical values give identical bytes. Numeric rows come
-    from ``.tolist()`` so no numpy scalar reaches the formatter.
+
+def _cells(column: Sequence, start: int, stop: int) -> list[str]:
+    """The text of rows ``start:stop`` of one column.
+
+    An array's values are formatted by one ``repr`` of the block's Python
+    scalars; ``repr`` of each is its ``str``, and for a float the shortest
+    round-trip form, so identical values give identical bytes. Any other
+    column (names, integers, preformatted text) is ``str`` of each value.
     """
-    body = (",".join(map(str, row)) for row in rows)
-    _atomic_write(path, itertools.chain((_manifest_line(manifest), ",".join(header)), body))
+    if isinstance(column, np.ndarray):
+        return repr(column[start:stop].tolist())[1:-1].split(", ")
+    return [str(v) for v in column[start:stop]]
+
+
+def _write_csv(
+    path: str, manifest: dict, header: Iterable[str], columns: Sequence[Sequence]
+) -> None:
+    """Manifest line, header, then one line per row of ``columns``, which
+    are formatted and streamed out ``CSV_BLOCK_ROWS`` rows at a time.
+
+    ``columns`` holds one column per header name, all of one length, or
+    nothing for a table without rows.
+    """
+    n = len(columns[0]) if columns else 0
+    blocks = (
+        "\n".join(map(",".join, zip(*(_cells(c, i, i + CSV_BLOCK_ROWS) for c in columns))))
+        for i in range(0, n, CSV_BLOCK_ROWS)
+    )
+    _atomic_write(path, itertools.chain((_manifest_line(manifest), ",".join(header)), blocks))
 
 
 def _write_json(path: str, manifest: dict, payload: dict) -> None:
@@ -117,6 +139,71 @@ def _digest_params(params: dict) -> str:
     ).hexdigest()
 
 
+def _floats(line: str) -> list[float]:
+    return [float(p.strip()) for p in line.split(",")]
+
+
+def _rows_by_line(path: str, lines: list[str]) -> np.ndarray:
+    """The reference parse: one ``float`` per cell, line by line.
+
+    This is the only code that raises a row's ``ParseError``, so the
+    message names the first bad line in file order.
+    """
+    rows: list[list[float]] = []
+    width: int | None = None
+    saw_header = False
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            values = _floats(line)
+        except ValueError:
+            if not rows and not saw_header:
+                saw_header = True  # header row such as time,value
+                continue
+            raise ParseError(f"{path}:{lineno}: cannot parse row {line!r}")
+        if width is None:
+            width = len(values)
+            if width not in (1, 2):
+                raise ParseError(
+                    f"{path}:{lineno}: expected 1 or 2 columns, got {width}"
+                )
+        elif len(values) != width:
+            raise ParseError(
+                f"{path}:{lineno}: expected {width} columns, got {len(values)}"
+            )
+        rows.append(values)
+    if not rows:
+        raise ParseError(f"{path}: no data rows")
+    return np.asarray(rows, dtype=np.float64)
+
+
+def _rows(path: str, lines: list[str]) -> np.ndarray:
+    """The data rows as an (n, 1) or (n, 2) float64 table.
+
+    numpy's C reader converts the body in one call. An empty body, one it
+    refuses, or one it reads with other than 1 or 2 columns goes to
+    ``_rows_by_line``, which also accepts what only ``float`` accepts
+    (``1_000``, non-ASCII digits).
+    """
+    body = [line for line in map(str.strip, lines) if line and not line.startswith("#")]
+    if body:
+        try:
+            _floats(body[0])
+        except ValueError:
+            del body[0]  # header row such as time,value
+    if body:
+        try:
+            data = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if data.shape[1] in (1, 2):
+                return data
+    return _rows_by_line(path, lines)
+
+
 def read_signal_csv(path: str, sample_rate_hz: float | None = None) -> Signal:
     """Load a vibration record from CSV.
 
@@ -125,36 +212,9 @@ def read_signal_csv(path: str, sample_rate_hz: float | None = None) -> Signal:
     ``time,value`` columns with uniform spacing (sample rate must not be
     supplied).
     """
-    rows: list[list[float]] = []
-    width: int | None = None
-    saw_header = False
     with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            try:
-                values = [float(p) for p in parts]
-            except ValueError:
-                if not rows and not saw_header:
-                    saw_header = True  # header row such as time,value
-                    continue
-                raise ParseError(f"{path}:{lineno}: cannot parse row {line!r}")
-            if width is None:
-                width = len(values)
-                if width not in (1, 2):
-                    raise ParseError(
-                        f"{path}:{lineno}: expected 1 or 2 columns, got {width}"
-                    )
-            elif len(values) != width:
-                raise ParseError(
-                    f"{path}:{lineno}: expected {width} columns, got {len(values)}"
-                )
-            rows.append(values)
-    if not rows:
-        raise ParseError(f"{path}: no data rows")
-    data = np.asarray(rows, dtype=np.float64)
+        data = _rows(path, fh.readlines())
+    width = data.shape[1]
     if width == 1:
         if sample_rate_hz is None:
             raise ParseError(
@@ -185,7 +245,7 @@ def read_signal_csv(path: str, sample_rate_hz: float | None = None) -> Signal:
 
 
 def _write_signal_csv(path: str, manifest: dict, s: Signal) -> None:
-    _write_csv(path, manifest, ["time", "value"], zip(s.times().tolist(), s.samples.tolist()))
+    _write_csv(path, manifest, ["time", "value"], [s.times(), s.samples])
 
 
 def _write_run(path: str, manifest: dict, run: DegradationRun) -> None:
@@ -195,12 +255,12 @@ def _write_run(path: str, manifest: dict, run: DegradationRun) -> None:
     names = [f"specimen_{m:04d}.csv" for m in minutes]
     for name, s in zip(names, run.specimens):
         _write_signal_csv(os.path.join(out, name), manifest, s)
-    _write_csv(path, manifest, ["minute", "filename", "severity"], (
-        (m, name, float(default_severity_law(m))) for m, name in zip(minutes, names)
-    ))
-    _write_csv(os.path.join(out, "rms_trend.csv"), manifest, ["minute", "rms"], (
-        (float(m), rms(s)) for m, s in zip(minutes, run.specimens)
-    ))
+    _write_csv(path, manifest, ["minute", "filename", "severity"], [
+        minutes, names, [float(default_severity_law(m)) for m in minutes],
+    ])
+    _write_csv(os.path.join(out, "rms_trend.csv"), manifest, ["minute", "rms"], [
+        [float(m) for m in minutes], [rms(s) for s in run.specimens],
+    ])
 
 
 def _seed(text: str) -> int:
@@ -322,8 +382,8 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         raise ValueError(f"{args.input}: {exc}") from exc
     manifest = _manifest(args, dataclasses.asdict(cfg), _digest_file(args.input))
     header = [f"imf_{i}" for i in range(1, imf_set.n_imfs + 1)] + ["residue"]
-    columns = [c.tolist() for c in (*imf_set.imfs, imf_set.residue)]
-    _write_csv(os.path.join(args.out, "imfs.csv"), manifest, header, zip(*columns))
+    _write_csv(os.path.join(args.out, "imfs.csv"), manifest, header,
+               [*imf_set.imfs, imf_set.residue])
     if args.verify:
         reference = float(np.max(np.abs(signal.samples)))
         error = float(np.max(np.abs(signal.samples - imf_set.reconstruct())))
@@ -359,16 +419,16 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     _write_csv(
         os.path.join(args.out, "spectrum.csv"), manifest,
         ["frequency_hz", "amplitude"],
-        zip(spectrum.frequencies_hz.tolist(), spectrum.amplitudes.tolist()),
+        [spectrum.frequencies_hz, spectrum.amplitudes],
     )
     _write_csv(
         os.path.join(args.out, "mi_scores.csv"), manifest,
         ["imf_index", "mi_nats", "k", "degenerate", "selected"],
-        (
+        list(zip(*(
             (s.imf_index, s.value_nats, s.k, int(s.degenerate),
              int(s.imf_index in report.selected_indices))
             for s in report.mi_scores
-        ),
+        ))),
     )
     if report.verdict == VERDICT_INCONCLUSIVE:
         return EXIT_INCONCLUSIVE
@@ -432,7 +492,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         "snr_db": args.snr_db,
     }
     manifest = _manifest(args, params, _digest_params(params))
-    _write_csv(os.path.join(args.out, "compare.csv"), manifest, COMPARE_COLUMNS, rows)
+    _write_csv(os.path.join(args.out, "compare.csv"), manifest, COMPARE_COLUMNS, list(zip(*rows)))
 
     cells = [COMPARE_COLUMNS] + [[_cell(v) for v in row] for row in rows]
     widths = [max(len(c) for c in column) for column in zip(*cells)]

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError, get_lapack_funcs
 
-from .signals import Signal, _from_unit_peak, _to_unit_peak
+from .signals import Signal, _from_unit_peak, _is_integral, _to_unit_peak
 
 # LAPACK's tridiagonal solver, the routine solve_banded runs for (1, 1) bands.
 (_GTSV,) = get_lapack_funcs(("gtsv",), dtype=np.float64)
@@ -38,12 +38,17 @@ class SiftConfig:
     max_imfs: int | None = None
 
     def __post_init__(self) -> None:
+        if not _is_integral(self.max_sift_iterations):
+            raise ValueError("max_sift_iterations must be an integer")
         if self.max_sift_iterations < 1:
             raise ValueError("max_sift_iterations must be >= 1")
         if not self.sd_threshold > 0:
             raise ValueError("sd_threshold must be positive")
-        if self.max_imfs is not None and self.max_imfs < 1:
-            raise ValueError("max_imfs must be >= 1 when given")
+        if self.max_imfs is not None:
+            if not _is_integral(self.max_imfs):
+                raise ValueError("max_imfs must be an integer when given")
+            if self.max_imfs < 1:
+                raise ValueError("max_imfs must be >= 1 when given")
 
     def mode_cap(self, n: int) -> int:
         """Most modes taken from n samples: max_imfs, else floor(log2(n))."""

@@ -10,7 +10,6 @@ stages themselves follow one another in the caller.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,13 +17,9 @@ import numpy as np
 from . import workers
 from .emd import Extrema, ImfSet, SiftConfig, emd, mode_extrema, sift_mode, take_modes
 from .noise import generate_fgn, generate_white
-from .signals import Signal, _from_unit_peak, _to_unit_peak
+from .signals import Signal, _from_unit_peak, _is_integral, _to_unit_peak
 
 METHODS = ("emd", "eemd", "ceemd", "ceemdan", "npceemd")
-
-
-def _is_integral(value: object) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

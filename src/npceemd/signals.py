@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -11,6 +12,11 @@ import numpy as np
 # Anything numpy's default_rng accepts as entropy; tuples let callers derive
 # independent per-trial streams deterministically.
 Seed = Union[int, Sequence[int], np.random.SeedSequence]
+
+
+def _is_integral(value: object) -> bool:
+    """An integer of any integer type, but not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 class ZeroVariance(ValueError):

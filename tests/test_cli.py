@@ -1,20 +1,25 @@
 import dataclasses
 import itertools
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 
 from npceemd import DefectSimParams, EnsembleConfig, ImfSet, decompose
+from npceemd import cli
 from npceemd.cli import (
+    CSV_BLOCK_ROWS,
     EXIT_INCONCLUSIVE,
     EXIT_INTERNAL,
     EXIT_OK,
     EXIT_USAGE,
     MAX_GRID_POINTS,
     ParseError,
+    _manifest_line,
     _parse_grid,
+    _write_csv,
     main,
     read_signal_csv,
 )
@@ -161,6 +166,126 @@ class TestReadSignalCsv:
         path.write_text("# manifest: {}\nvalue\n1.0\n2.0\n3.0\n4.0\n")
         signal = read_signal_csv(str(path), sample_rate_hz=10.0)
         assert len(signal) == 4
+
+
+# One cell's text, put in place of a cell of a 16-row record: tokens that
+# float() reads and numpy's reader may not, tokens neither reads, and
+# tokens that read as non-finite or extreme values.
+ODD_TOKENS = [
+    "1_000", "-2_5.5", "\u0661\u0662", "\uff11", " 1.5 ", "\t2", "3\xa0", "\u30004",
+    "5\x1c", "6\x0c", "\x857", "nan", "-inf", "Infinity", "+1", ".5", "5.", "1E+05",
+    "-0.0", "5e-324", "1e308", "2e308", "0x10", "1d5", "1e", '"1"', "1,", "", " ", "1 2",
+    "1#x", "1 # x", "\x00", "1\x002", "True", "nan(1)", "time",
+]
+# Files whose layout is odd: comment and blank lines between rows, a header
+# only, no lines, a header-like row after the data, three columns, a ragged
+# row, CRLF and lone CR line ends, and time columns that are not uniform.
+ODD_FILES = {
+    "comments": "# a\ntime,value\n0,1\n\n# b\n  \n0.5,2\n1,3\n# c\n1.5,4\n\n",
+    "header-only": "time,value\n",
+    "empty": "",
+    "blank": "\n \n# only comments\n",
+    "header-after": "time,value\n0,1\n1,2\ntime,value\n2,3\n3,4\n",
+    "two-headers": "time,value\nseconds,volts\n0,1\n1,2\n2,3\n3,4\n",
+    "three-columns": "a,b,c\n0,1,2\n1,2,3\n2,3,4\n3,4,5\n",
+    "ragged": "time,value\n0,1\n1,2\n2\n3,4\n",
+    "ragged-wide": "value\n1\n2\n3,4\n5\n",
+    "crlf": "time,value\r\n0,1\r\n1,2\r\n2,3\r\n3,4\r\n",
+    "cr": "time,value\r0,1\r1,2\r2,3\r3,4\r",
+    "nonuniform": "time,value\n0,1\n1,2\n2.5,3\n3.5,4\n",
+    "decreasing": "time,value\n0,1\n1,2\n0.5,3\n3,4\n",
+    "no-header": "0,1\n1,2\n2,3\n3,4\n",
+    "trailing-comma": "value\n1,\n2,\n3,\n4,\n",
+}
+
+
+def _read_outcome(path, rate):
+    """A read's Signal as bits and rate, or its error's type and text."""
+    try:
+        signal = read_signal_csv(str(path), rate)
+    except ValueError as exc:  # ParseError, or a line that is not text
+        return type(exc).__name__, str(exc)
+    return signal.samples.tobytes(), signal.sample_rate_hz.hex()
+
+
+def _assert_reads_as_by_line(monkeypatch, path):
+    """numpy's reader and the per-line float() loop give one outcome."""
+    for rate in (None, 500.0):
+        fast = _read_outcome(path, rate)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_rows", cli._rows_by_line)
+            assert fast == _read_outcome(path, rate)
+
+
+class TestReadSignalCsvMatchesLineLoop:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("token", ODD_TOKENS)
+    def test_odd_token(self, tmp_path, monkeypatch, token):
+        rows = [[repr(k * 0.002), repr(math.sin(k))] for k in range(16)]
+        for where in ("header", (0, 1), (7, 0), (7, 1), (15, 1), "column"):
+            if where == "column":
+                lines = ["value", *(token if k == 9 else v for k, (_, v) in enumerate(rows))]
+            else:
+                cells = [["time", "value"], *[list(r) for r in rows]]
+                row, col = (0, 0) if where == "header" else (where[0] + 1, where[1])
+                cells[row][col] = token
+                lines = [",".join(c) for c in cells]
+            path = tmp_path / f"{ODD_TOKENS.index(token)}-{where}.csv"
+            path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+            _assert_reads_as_by_line(monkeypatch, path)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name", ODD_FILES)
+    def test_odd_file(self, tmp_path, monkeypatch, name):
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(ODD_FILES[name].encode())
+        _assert_reads_as_by_line(monkeypatch, path)
+
+    def test_files_the_cli_writes_take_numpy_s_reader(self, tmp_path, monkeypatch):
+        assert run("simulate", "defect", "--seed", "1", "--out", str(tmp_path)) == EXIT_OK
+        (tmp_path / "values.csv").write_text("".join(f"{k % 7 - 3}.25\n" for k in range(64)))
+        monkeypatch.setattr(cli, "_rows_by_line", None)  # a call would raise TypeError
+        assert len(read_signal_csv(str(tmp_path / "defect.csv"))) == 5000
+        assert len(read_signal_csv(str(tmp_path / "values.csv"), 100.0)) == 64
+
+    def test_bad_line_deep_in_a_long_file_is_named(self, tmp_path):
+        lines = ["time,value", *(f"{k / 8!r},{k % 5}" for k in range(40000))]
+        lines[30001] = "3750.0,2_0"  # float() reads it; numpy's reader does not
+        lines[30002] = "3750.125,x"
+        path = tmp_path / "late.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=r"late\.csv:30003: cannot parse row '3750.125,x'$"):
+            read_signal_csv(str(path))
+
+
+# Values whose text is easy to get wrong: signed zero, infinities, nan, the
+# smallest subnormal, the first integer-valued float shown with an exponent,
+# and a value with no exact binary form.
+SPECIAL_VALUES = [-0.0, math.inf, -math.inf, math.nan, 5e-324, 1e16, 0.1]
+
+
+class TestWriteCsv:
+    @pytest.mark.parametrize("n", [0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1])
+    def test_matches_str_of_each_value_row_by_row(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        special = np.resize(np.array(SPECIAL_VALUES), n)
+        wide = rng.standard_normal(n) * 10.0 ** rng.integers(-320, 300, n)
+        columns = [
+            special, wide, special[::-1], wide.tolist(), range(1, n + 1),
+            [f"specimen_{k:04d}.csv" for k in range(n)], [int(k % 3 == 0) for k in range(n)],
+        ]
+        header = [f"c{j}" for j in range(len(columns))]
+        manifest = {"rows": n}
+        rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
+        lines = [_manifest_line(manifest), ",".join(header), *(",".join(map(str, r)) for r in rows)]
+        expected = "".join(f"{line}\n" for line in lines).encode()
+        path = tmp_path / "table.csv"
+        _write_csv(str(path), manifest, header, columns)
+        assert path.read_bytes() == expected
+        if n == 0:
+            # no rows given as no columns, as for the MI scores of a flat record
+            _write_csv(str(path), manifest, header, [])
+            assert path.read_bytes() == expected
 
 
 class TestDecompose:

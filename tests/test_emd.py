@@ -488,6 +488,16 @@ def test_emd_respects_max_imfs():
         assert out.n_imfs == 3
 
 
+@pytest.mark.parametrize("field", ["max_imfs", "max_sift_iterations"])
+@pytest.mark.parametrize("value", [2.5, 2.0, True, False, "3"])
+def test_sift_config_rejects_a_count_that_is_not_an_integer(field, value):
+    # max_imfs=2.5 used to give 3 modes and True 1 mode; max_sift_iterations=True
+    # ran one iteration, and 2.5 raised TypeError from inside the sift
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        SiftConfig(**{field: value})
+    assert getattr(SiftConfig(**{field: np.int64(3)}), field) == 3
+
+
 def test_imf_criterion_on_combined_fixture(emd_clean_combined):
     for imf in emd_clean_combined.imfs:
         assert imf_criterion_gap(imf) <= 1
