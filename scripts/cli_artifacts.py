@@ -28,7 +28,10 @@ the labels a fix changes on purpose. Against a tree that still has them:
 - `x-sim-seed-negative`, `x-dec-seed-negative` and `x-dia-seed-negative`
   exit 2 with numpy's "expected non-negative integer", the last two
   blaming the input file, where `--seed` is refused at parse time with a
-  message that names it (exit 2 either way, nothing written).
+  message that names it (exit 2 either way, nothing written);
+- `csv-latin1` exits 2 with the UTF-8 decoder's message, which names
+  neither the file nor the line, where the read names line 1282 and the
+  byte's offset in the file (exit 2 either way, nothing written).
 
 The table runs in under ten seconds on two cores.
 
@@ -53,8 +56,9 @@ FIXTURE_FLAGS = [
     "--noise-sigma", "2",
 ]
 
-# Odd-CSV inputs: name -> (extra argv, text). A 64-sample record spaced
-# 2 ms, as time,value rows; line k of a file is row k - 1 after a header.
+# Odd-CSV inputs: name -> (extra argv, text or bytes). A 64-sample record
+# spaced 2 ms, as time,value rows; line k of a file is row k - 1 after a
+# header.
 _TIMES = [k / 500 for k in range(64)]
 _VALUES = [((k * 7919) % 101 - 50) / 25.0 for k in range(64)]
 _ROWS = [f"{t!r},{v!r}" for t, v in zip(_TIMES, _VALUES)]
@@ -79,6 +83,10 @@ ODD_CSV = {
     "nonuniform.csv": ([], "time,value\n" + "".join(
         f"{t + (1e-4 if k == 30 else 0.0)!r},{v!r}\n"
         for k, (t, v) in enumerate(zip(_TIMES, _VALUES)))),
+    # a Latin-1 degree sign on line 1282, past the first 8 KiB read
+    "latin1.csv": ([], ("time,value\n" + "".join(f"{row}\n" for row in _ROWS * 20)
+                        + "# at 21 \xb0C\n" + "".join(f"{row}\n" for row in _ROWS))
+                   .encode("latin-1")),
 }
 
 # (label, argv without --out). A path under OUT is written as "@label/file"
@@ -220,8 +228,8 @@ def write_inputs(out: str, npceemd) -> None:
         with open(os.path.join(out, "inputs", name), "w") as fh:
             fh.write("\n".join(lines) + "\n")
     for name, (_, text) in ODD_CSV.items():
-        with open(os.path.join(out, "inputs", name), "w", newline="") as fh:
-            fh.write(text)
+        with open(os.path.join(out, "inputs", name), "wb") as fh:
+            fh.write(text if isinstance(text, bytes) else text.encode())
 
 
 def main() -> int:

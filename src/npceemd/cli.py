@@ -204,16 +204,41 @@ def _rows(path: str, lines: list[str]) -> np.ndarray:
     return _rows_by_line(path, lines)
 
 
+def _text_lines(path: str) -> list[str]:
+    """The file's lines, read as UTF-8 with universal newlines.
+
+    A byte that is not UTF-8 is a ParseError that names its line and its
+    offset in the file; the decoder's own error names neither, and counts
+    its offset within a read chunk.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.readlines()
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # Lines end at \r\n, \n or \r, as readlines counts them.
+            head = raw[: exc.start].replace(b"\r\n", b"\n")
+            line = head.count(b"\n") + head.count(b"\r") + 1
+            raise ParseError(
+                f"{path}:{line}: not UTF-8 text (byte 0x{raw[exc.start]:02x} "
+                f"at offset {exc.start})"
+            ) from None
+        raise  # the file changed between the two reads
+
+
 def read_signal_csv(path: str, sample_rate_hz: float | None = None) -> Signal:
     """Load a vibration record from CSV.
 
-    Accepts ``#`` comment lines, an optional header row, and either a
-    single ``value`` column (sample rate must be supplied) or
+    Accepts UTF-8 text with ``#`` comment lines, an optional header row,
+    and either a single ``value`` column (sample rate must be supplied) or
     ``time,value`` columns with uniform spacing (sample rate must not be
     supplied).
     """
-    with open(path) as fh:
-        data = _rows(path, fh.readlines())
+    data = _rows(path, _text_lines(path))
     width = data.shape[1]
     if width == 1:
         if sample_rate_hz is None:

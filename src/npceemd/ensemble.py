@@ -3,9 +3,11 @@
 EEMD, CEEMD and NPCEEMD sift each noise realization independently, as one
 task of ``workers.map``, which decides whether it runs in the caller or
 on a worker process, and fold the trials in trial order, so the outputs
-are the same bits wherever they ran. CEEMDAN maps its noise realizations'
-EMDs the same way, and then each stage's sifts, one map per stage; the
-stages themselves follow one another in the caller.
+are the same bits wherever they ran, and drop each realization's trials
+once they are folded. CEEMDAN maps each stage's sifts, one map per stage,
+and each task also advances its trial's noise EMD by the one mode that the
+stage reads, so no full noise decomposition is ever held; the stages
+themselves follow one another in the caller.
 """
 
 from __future__ import annotations
@@ -105,49 +107,79 @@ def _noise_ensemble(
             for total, imf in zip(sums, trial.imfs):
                 total += imf
             residue += trial.residue
+        # Folded: free them before the next realization is sifted or read.
+        del trials, trial
     weight = 1.0 / (cfg.ensemble_size * len(signs))
-    return ImfSet([total * weight for total in sums], residue * weight)
+    for total in sums:
+        total *= weight
+    residue *= weight
+    return ImfSet(sums, residue)
 
 
-def _noise_modes(cfg: EnsembleConfig, n: int, rate_hz: float, j: int) -> list[np.ndarray]:
-    """The EMD modes of trial j's white noise, for CEEMDAN's stages."""
-    return emd(Signal(_trial_noise(cfg, n, j, fractional=False), rate_hz), cfg.sift).imfs
+# A noise realization's unit-peak EMD between two of CEEMDAN's stages:
+# its residue, the exponent e of its 2**-e scale and the negligible level
+# of ``take_modes``; None once that EMD has ended.
+NoiseState = tuple[np.ndarray, int, float] | None
 
 
-def _stage_mode(perturbed: np.ndarray, sift: SiftConfig) -> np.ndarray:
-    """The first mode of one perturbed residue: itself when it has too
-    few extrema to sift."""
+def _stage_mode(
+    residue: np.ndarray, eps: float, cfg: EnsembleConfig, j: int, k: int,
+    noise: NoiseState,
+) -> tuple[np.ndarray, NoiseState]:
+    """Trial j's share of CEEMDAN's stage k, and its noise EMD's next state.
+
+    At k = 0 the trial draws its white noise and scales it to a unit peak,
+    as ``emd`` does. Its noise EMD then gives mode k with ``take_modes``'s
+    stops (the mode cap holds, as the stages stop at the same cap), scaled
+    back by 2**e; the residue plus eps times that mode, or the residue
+    alone once the noise EMD has ended, gives up its first mode: itself
+    when it has too few extrema to sift.
+    """
+    if k == 0:
+        w, e = _to_unit_peak(_trial_noise(cfg, residue.size, j, fractional=False))
+        noise = w, e, 1e-12 * float(np.max(np.abs(w)))
+    perturbed = residue
+    if noise is not None:
+        w, e, negligible = noise
+        extrema = None if np.max(np.abs(w)) <= negligible else mode_extrema(w)
+        if extrema is None:
+            noise = None
+        else:
+            mode = sift_mode(w, extrema, cfg.sift)
+            noise = w - mode, e, negligible
+            perturbed = residue + eps * np.ldexp(mode, e)
     extrema = mode_extrema(perturbed)
-    return perturbed if extrema is None else sift_mode(perturbed, extrema, sift)
+    return (perturbed if extrema is None else sift_mode(perturbed, extrema, cfg.sift)), noise
 
 
 def _ceemdan(s: Signal, cfg: EnsembleConfig) -> ImfSet:
-    """Stage-wise ensemble with adaptive noise.
+    """Stage-wise ensemble with adaptive noise (Torres et al., 2011).
 
     Stage k perturbs the running residue with eps_k times the k-th EMD
-    mode of each stored noise realization (eps_k = noise_scale times the
+    mode of each trial's white noise (eps_k = noise_scale times the
     residue's standard deviation), extracts one IMF as the ensemble mean
     of first modes, subtracts it, and repeats until a ``take_modes`` stop.
     The telescoping updates make the reconstruction exact up to float
     accumulation.
 
-    The noise realizations' EMDs are one ``workers.map``, and each stage's
-    sifts another; a stage adds its first modes in trial order into a
-    zero-started sum, so the output is the same bits at any worker count.
+    Each stage is one ``workers.map`` of Ne ``_stage_mode`` tasks, which
+    also advance the noise EMDs by one mode, so the caller holds Ne noise
+    residues rather than Ne full noise decompositions. A stage adds its
+    first modes in trial order into a zero-started sum, so the output is
+    the same bits at any worker count.
     """
     x = s.samples
-    noise_modes = list(workers.map(
-        _noise_modes, [(cfg, x.size, s.sample_rate_hz, j) for j in range(cfg.ensemble_size)]
-    ))
+    noises: list[NoiseState] = [None] * cfg.ensemble_size
 
     def stage(residue: np.ndarray, _: Extrema, k: int) -> np.ndarray:
         eps = cfg.noise_scale * np.std(residue)
-        tasks = [
-            (residue + eps * modes[k] if k < len(modes) else residue, cfg.sift)
-            for modes in noise_modes
-        ]
+        tasks = [(residue, eps, cfg, j, k, noises[j]) for j in range(cfg.ensemble_size)]
+        noises.clear()
         total = np.zeros(x.size)
-        for mode in workers.map(_stage_mode, tasks):
+        for j, (mode, noise) in enumerate(workers.map(_stage_mode, tasks)):
+            # The map has read task j, so its old noise state can go.
+            tasks[j] = None
+            noises.append(noise)
             total += mode
         return total / cfg.ensemble_size
 

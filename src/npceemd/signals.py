@@ -19,6 +19,20 @@ def _is_integral(value: object) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _check_seed(name: str, seed: object) -> None:
+    """ValueError naming ``name`` unless seed is a SeedSequence, a
+    non-negative integer, or a sequence or array of them (bools are not
+    integers here)."""
+    if isinstance(seed, np.random.SeedSequence):
+        return
+    values = list(seed) if isinstance(seed, (tuple, list, np.ndarray)) else [seed]
+    if not all(_is_integral(v) and v >= 0 for v in values):
+        raise ValueError(
+            f"{name} must be a non-negative integer, a sequence of them or a "
+            f"SeedSequence, got {seed!r}"
+        )
+
+
 class ZeroVariance(ValueError):
     """All samples equal; kurtosis is undefined."""
 
@@ -42,6 +56,8 @@ class Signal:
             raise ValueError(f"need at least 4 samples, got {samples.size}")
         if not np.all(np.isfinite(samples)):
             raise ValueError("samples must all be finite")
+        if isinstance(self.sample_rate_hz, (bool, np.bool_)):
+            raise ValueError("sample_rate_hz must be a number, not a bool")
         rate = float(self.sample_rate_hz)
         if not (rate > 0 and math.isfinite(rate)):
             raise ValueError("sample_rate_hz must be finite and positive")

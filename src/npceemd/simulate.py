@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .noise import MAX_FGN_LENGTH
-from .signals import Seed, Signal, mix_to_snr
+from .signals import Seed, Signal, _check_seed, mix_to_snr
 
 # The tone/impulse fixtures use one second at this rate.
 FIXTURE_SAMPLE_RATE_HZ = 32768.0
@@ -94,6 +94,7 @@ class DefectSimParams:
                      "noise_sigma"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        _check_seed("seed", self.seed)
         # f_n > 0 comes first: the period test divides by it.
         if not 0.0 < self.f_n < self.sample_rate_hz / 2.0:
             raise ValueError(

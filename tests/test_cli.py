@@ -258,6 +258,25 @@ class TestReadSignalCsvMatchesLineLoop:
             read_signal_csv(str(path))
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_a_byte_that_is_not_utf8_names_its_line_and_offset(tmp_path, capsys, newline):
+    # a Latin-1 degree sign in a comment past the first 8 KiB read; the
+    # decoder's own error named neither the file nor the line, and gave an
+    # offset within the chunk it was decoding
+    lines = ["time,value", *(f"{k / 8!r},{k % 5}" for k in range(1500)), "# at 21 \xb0C"]
+    head = newline.join(lines[:-1]) + newline + "# at 21 "
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(newline.join(lines + ["188.0,1"]).encode("latin-1"))
+    with pytest.raises(
+        ParseError, match=rf"latin1\.csv:1502: not UTF-8 text \(byte 0xb0 at offset {len(head)}\)$"
+    ):
+        read_signal_csv(str(path))
+    out = tmp_path / "out"
+    assert run("decompose", str(path), "--method", "emd", "--out", str(out)) == EXIT_USAGE
+    assert "latin1.csv:1502: not UTF-8" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # Values whose text is easy to get wrong: signed zero, infinities, nan, the
 # smallest subnormal, the first integer-valued float shown with an exponent,
 # and a value with no exact binary form.

@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from npceemd import EnsembleConfig, Signal, emd
 from npceemd import ensemble, workers
-from npceemd.emd import ImfSet, SiftConfig
+from npceemd.emd import ImfSet, SiftConfig, mode_extrema, sift_mode, take_modes
 from npceemd.ensemble import METHODS, decompose
+from npceemd.signals import _from_unit_peak, _to_unit_peak
 from conftest import pearson
 
 
@@ -123,18 +126,74 @@ class TestEemd:
             assert np.dot(x - s.samples, w) > 0
 
 
+def two_phase_ceemdan(s: Signal, cfg: EnsembleConfig) -> ImfSet:
+    """CEEMDAN as two phases: every member's white noise fully decomposed
+    by ``emd`` first, then the stages, each reading mode k of each noise
+    EMD. The reference for the stage-wise noise EMDs of ``_ceemdan``."""
+    x, e = _to_unit_peak(s.samples)
+    noise_modes = [
+        emd(Signal(ensemble._trial_noise(cfg, x.size, j, False), s.sample_rate_hz), cfg.sift).imfs
+        for j in range(cfg.ensemble_size)
+    ]
+
+    def stage(residue, _, k):
+        eps = cfg.noise_scale * np.std(residue)
+        total = np.zeros(x.size)
+        for modes in noise_modes:
+            perturbed = residue + eps * modes[k] if k < len(modes) else residue
+            extrema = mode_extrema(perturbed)
+            total += perturbed if extrema is None else sift_mode(perturbed, extrema, cfg.sift)
+        return total / cfg.ensemble_size
+
+    out = take_modes(x.copy(), cfg.sift.mode_cap(x.size), stage)
+    _from_unit_peak(e, *out.imfs, out.residue)
+    return out
+
+
 class TestCeemdan:
     def test_one_noise_decomposition_per_member(self, monkeypatch):
-        # the Ne noise realizations are decomposed once each; the stages
-        # sift their modes without going through emd
+        # one white noise draw per member, in member order; the stages
+        # advance its EMD one mode each, without going through emd
         s = two_tone_signal(n=512)
         noises, inputs = spy_on_trials(monkeypatch)
         decompose(s, cfg_for("ceemdan", ensemble_size=3))
         assert [j for j, _, _ in noises] == [0, 1, 2]
         assert not any(fractional for _, fractional, _ in noises)
-        assert len(inputs) == 3
-        for x, (_, _, w) in zip(inputs, noises):
-            assert np.array_equal(x, w)
+        assert inputs == []
+
+    @pytest.mark.parametrize("record", [
+        "two-tone", "white", "specimen-2", "specimen-5", "short", "2**600", "1e-200",
+    ])
+    def test_same_bits_as_the_two_phase_algorithm(self, record, minute_440, monkeypatch):
+        # in the caller; tests/test_workers.py checks workers give the same bits
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 1)
+        tones, k = two_tone_signal(), np.arange(16)
+        s = {
+            "two-tone": tones,
+            "white": Signal(np.random.default_rng(12).standard_normal(2048), 1000.0),
+            "specimen-2": minute_440,
+            "specimen-5": minute_440,
+            "short": Signal(np.sin(0.9 * k) + np.sin(0.05 * k), 1.0),
+            "2**600": Signal(np.ldexp(tones.samples, 600), tones.sample_rate_hz),
+            "1e-200": Signal(1e-200 * tones.samples, tones.sample_rate_hz),
+        }[record]
+        cfg = cfg_for("ceemdan", ensemble_size=3)
+        if record.startswith("specimen"):
+            cfg = cfg_for("ceemdan", ensemble_size=3, sift=SiftConfig(max_imfs=int(record[-1])))
+        if record == "short":
+            cfg = cfg_for("ceemdan", ensemble_size=4)
+        out, ref = decompose(s, cfg), two_phase_ceemdan(s, cfg)
+        if record == "short":
+            # every noise EMD ends before the signal's third and last
+            # stage, and the fourth member's before the second
+            counts = [
+                emd(Signal(ensemble._trial_noise(cfg, 16, j, False), 1.0)).n_imfs
+                for j in range(4)
+            ]
+            assert (counts, out.n_imfs) == ([2, 2, 2, 1], 3)
+        assert out.n_imfs == ref.n_imfs
+        for a, b in zip(out.imfs + [out.residue], ref.imfs + [ref.residue]):
+            assert np.array_equal(a, b)
 
     def test_reconstruction_is_telescoping(self):
         rng = np.random.default_rng(12)
@@ -307,6 +366,24 @@ def test_extreme_amplitude_gives_finite_modes(method, minute_440):
         for a, b in zip(big.imfs + [big.residue], base.imfs + [base.residue]):
             assert np.all(np.isfinite(a))
             assert np.array_equal(a, np.ldexp(b, k))
+
+
+@pytest.mark.parametrize("method", ["ceemdan", "npceemd"])
+def test_in_caller_peak_memory_stays_within_a_few_output_sizes(method, monkeypatch):
+    # Beyond its output, ceemdan holds one noise residue per member and
+    # npceemd the running sums and one realization's trials. When ceemdan
+    # held every member's full noise EMD and npceemd copied its sums to
+    # scale them, the traced peaks here were 11.6 and 5.5 output sizes
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 1)
+    n = 1 << 15
+    s = Signal(np.random.default_rng(0).standard_normal(n), 1000.0)
+    tracemalloc.start()
+    try:
+        out = decompose(s, cfg_for(method))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * (out.n_imfs + 1) * n * 8
 
 
 class TestConfigValidation:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from npceemd import Signal, kurtosis, mix_to_snr, rms
+from npceemd import DefectSimParams, Signal, kurtosis, mix_to_snr, rms
 from npceemd.signals import ZeroVariance
 
 
@@ -24,6 +24,29 @@ def test_signal_rejects_a_non_finite_rate(rate):
     # spectrum divides by
     with pytest.raises(ValueError, match="finite"):
         Signal(np.zeros(8), rate)
+
+
+@pytest.mark.parametrize("field,value,accepted", [
+    ("seed", 1.5, False), ("seed", 2.0, False), ("seed", -1, False), ("seed", True, False),
+    ("seed", (1, -2), False), ("seed", 0, True), ("seed", np.uint32(7), True),
+    ("seed", (1, 2), True), ("seed", [3], True), ("seed", np.random.SeedSequence(5), True),
+    ("sample_rate_hz", True, False), ("sample_rate_hz", np.True_, False),
+    ("sample_rate_hz", 2, True),
+], ids=lambda v: repr(v) if not isinstance(v, str) else v)
+def test_a_seed_or_rate_of_the_wrong_kind_is_rejected_by_name(field, value, accepted):
+    # a fractional seed raised numpy's TypeError, a negative one numpy's
+    # "expected non-negative integer", and a bool seed or rate ran as 1;
+    # integers, their sequences and a SeedSequence are seeds
+    def make():
+        if field == "seed":
+            return DefectSimParams(seed=value)
+        return Signal(np.zeros(8), value)
+
+    if accepted:
+        make()
+    else:
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            make()
 
 
 def test_rms_all_zero():

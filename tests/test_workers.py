@@ -72,8 +72,8 @@ def test_outputs_are_the_same_bits_at_any_worker_count(pool, method, monkeypatch
     monkeypatch.setattr(workers, "usable_cpus", lambda: len(pool.workers) + 1)
     spread = decompose(s, cfg)
     # the caller took the first of the four realizations (for ceemdan, of
-    # the noise EMDs and of each stage's sifts), and each worker one of the
-    # next
+    # each stage's tasks, which also advance the noise EMDs), and each
+    # worker one of the next
     assert all(after > b for after, b in zip(served(pool), before))
     assert spread.n_imfs == serial.n_imfs
     for a, b in zip(spread.imfs + [spread.residue], serial.imfs + [serial.residue]):
@@ -289,8 +289,8 @@ def test_one_decomposition_starts_no_process():
 
 
 def test_one_ceemdan_decomposition_starts_no_process():
-    # ceemdan maps its noise EMDs and then each stage's sifts; the maps of
-    # one small decomposition stay under START_AFTER_S
+    # ceemdan maps each stage's sifts, which also advance its noise EMDs;
+    # the maps of one small decomposition stay under START_AFTER_S
     out = run_fresh(DECOMPOSE + """
     decompose(s, EnsembleConfig(method="ceemdan", ensemble_size=4))
     """ + CHILDREN)
