@@ -10,11 +10,10 @@ working memory that a method needs beyond its result. Pass --src to
 measure another source tree, such as a parent commit's:
 
     python scripts/memory_footprint.py
-    python scripts/memory_footprint.py --methods ceemdan npceemd --sizes 15
     python scripts/memory_footprint.py --src /path/to/parent/src
 
 Usage:
-    python scripts/memory_footprint.py [--methods M ...] [--sizes LOG2N ...] [--src SRC]
+    python scripts/memory_footprint.py [--src SRC]
 """
 
 import argparse
@@ -47,16 +46,13 @@ print(out.n_imfs, peak, output)
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--methods", nargs="+", choices=METHODS, default=list(METHODS))
-    parser.add_argument("--sizes", nargs="+", type=int, default=list(range(13, 18)),
-                        metavar="LOG2N", help="log2 of the sample counts (default 13..17)")
     parser.add_argument("--src", default=os.path.join(HERE, "..", "src"),
                         help="source tree whose npceemd package is run")
     args = parser.parse_args()
     src = os.path.abspath(args.src)
     print(f"{'method':<8} {'n':>7} {'modes':>5} {'peak_mb':>8} {'peak/out':>8}")
-    for method in args.methods:
-        for log2n in args.sizes:
+    for method in METHODS:
+        for log2n in range(13, 18):
             n = 1 << log2n
             row = subprocess.run(
                 [sys.executable, "-c", ROW, src, method, str(n)],

@@ -264,17 +264,29 @@ def sift_mode(residue: np.ndarray, extrema: Extrema, cfg: SiftConfig) -> np.ndar
     return h
 
 
+def negligible_level(residue: np.ndarray) -> float:
+    """1e-12 of the starting residue's peak: below it a residue is float
+    round-off, not structure, which would otherwise keep yielding junk
+    micro-IMFs."""
+    return 1e-12 * float(np.max(np.abs(residue)))
+
+
+def next_mode_extrema(residue: np.ndarray, negligible: float) -> Extrema | None:
+    """``mode_extrema(residue)``, or None when the residue's peak is at or
+    below ``negligible`` (its ``negligible_level``): the stop, short of the
+    mode cap, of every EMD that takes modes off a residue."""
+    return None if np.max(np.abs(residue)) <= negligible else mode_extrema(residue)
+
+
 def take_modes(residue: np.ndarray, limit: int, step: Callable) -> ImfSet:
     """Modes taken off ``residue`` by ``step(residue, extrema, k)``, which
     gives mode k (0-based) of a residue whose ``mode_extrema`` scan is
-    ``extrema``, plus the final residue. Stops at the mode cap ``limit``,
-    at a residue that holds no mode, or at one below 1e-12 of the starting
-    peak: float round-off, not structure, which would otherwise keep
-    yielding junk micro-IMFs."""
-    negligible = 1e-12 * float(np.max(np.abs(residue)))
+    ``extrema``, plus the final residue. Stops at the mode cap ``limit``
+    or when ``next_mode_extrema`` finds no mode."""
+    negligible = negligible_level(residue)
     imfs: list[np.ndarray] = []
     while len(imfs) < limit:
-        extrema = None if np.max(np.abs(residue)) <= negligible else mode_extrema(residue)
+        extrema = next_mode_extrema(residue, negligible)
         if extrema is None:
             break
         imfs.append(step(residue, extrema, len(imfs)))

@@ -17,7 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import workers
-from .emd import Extrema, ImfSet, SiftConfig, emd, mode_extrema, sift_mode, take_modes
+from .emd import (
+    Extrema, ImfSet, SiftConfig, emd, mode_extrema, negligible_level, next_mode_extrema,
+    sift_mode, take_modes,
+)
 from .noise import generate_fgn, generate_white
 from .signals import Signal, _from_unit_peak, _is_integral, _to_unit_peak
 
@@ -117,8 +120,8 @@ def _noise_ensemble(
 
 
 # A noise realization's unit-peak EMD between two of CEEMDAN's stages:
-# its residue, the exponent e of its 2**-e scale and the negligible level
-# of ``take_modes``; None once that EMD has ended.
+# its residue, the exponent e of its 2**-e scale and its starting
+# ``negligible_level``; None once that EMD has ended.
 NoiseState = tuple[np.ndarray, int, float] | None
 
 
@@ -129,19 +132,20 @@ def _stage_mode(
     """Trial j's share of CEEMDAN's stage k, and its noise EMD's next state.
 
     At k = 0 the trial draws its white noise and scales it to a unit peak,
-    as ``emd`` does. Its noise EMD then gives mode k with ``take_modes``'s
-    stops (the mode cap holds, as the stages stop at the same cap), scaled
-    back by 2**e; the residue plus eps times that mode, or the residue
-    alone once the noise EMD has ended, gives up its first mode: itself
-    when it has too few extrema to sift.
+    as ``emd`` does. Its noise EMD then gives mode k, scaled back by 2**e,
+    unless ``next_mode_extrema``, the stop that ``take_modes`` uses, ends
+    it (the mode cap holds, as the stages stop at the same cap); the
+    residue plus eps times that mode, or the residue alone once the noise
+    EMD has ended, gives up its first mode: itself when it has too few
+    extrema to sift.
     """
     if k == 0:
         w, e = _to_unit_peak(_trial_noise(cfg, residue.size, j, fractional=False))
-        noise = w, e, 1e-12 * float(np.max(np.abs(w)))
+        noise = w, e, negligible_level(w)
     perturbed = residue
     if noise is not None:
         w, e, negligible = noise
-        extrema = None if np.max(np.abs(w)) <= negligible else mode_extrema(w)
+        extrema = next_mode_extrema(w, negligible)
         if extrema is None:
             noise = None
         else:
