@@ -31,7 +31,10 @@ the labels a fix changes on purpose. Against a tree that still has them:
   message that names it (exit 2 either way, nothing written);
 - `csv-latin1` exits 2 with the UTF-8 decoder's message, which names
   neither the file nor the line, where the read names line 1282 and the
-  byte's offset in the file (exit 2 either way, nothing written).
+  byte's offset in the file (exit 2 either way, nothing written);
+- `x-jitter-large` exits 0 with a record in which 4 of the 33 onsets are
+  out of order, so some bursts are dropped, where `DefectSimParams`
+  rejects a `jitter_frac` above 0.5 by name (exit 2, nothing written).
 
 The table runs in under ten seconds on two cores.
 
@@ -172,6 +175,7 @@ INVOCATIONS = [
     ("x-jitter-nan", ["simulate", "defect", "--seed", "1", "--jitter-frac", "nan"]),
     ("x-decay-inf", ["simulate", "defect", "--seed", "1", "--decay", "inf"]),
     ("x-t-prime-inf", ["simulate", "defect", "--seed", "1", "--t-prime", "inf"]),
+    ("x-jitter-large", ["simulate", "defect", "--seed", "3", "--jitter-frac", "0.9"]),
     ("x-seed-first", ["simulate", "--seed", "4", "tone"]),
     ("x-unknown-fixture", ["simulate", "wavelet"]),
     ("x-noisy-unseeded", ["simulate", "combined-noisy"]),
@@ -198,6 +202,11 @@ INVOCATIONS = [
     ("x-severity-nan", ["simulate", "defect", "--seed", "1", "--severity", "nan"]),
     ("x-dec-noise-scale-inf", ["decompose", "@" + DEFECT, *SMALL, "--noise-scale", "inf"]),
     ("x-dia-noise-scale-inf", ["diagnose", "@" + DEFECT, *SMALL, "--noise-scale", "inf"]),
+    # the lower bounds of the ensemble and run-length flags
+    ("x-dec-max-imfs-zero", ["decompose", "@" + DEFECT, *SMALL, "--max-imfs", "0"]),
+    ("x-run-specimens-zero", ["simulate", "degradation-run", "--seed", "4", "--specimens", "0"]),
+    ("x-dec-noise-scale-zero", ["decompose", "@" + DEFECT, *SMALL, "--noise-scale", "0"]),
+    ("x-dec-hurst-zero", ["decompose", "@" + DEFECT, *SMALL, "--hurst", "0"]),
     # a negative seed, refused at parse time
     ("x-sim-seed-negative", ["simulate", "defect", "--seed", "-1"]),
     ("x-dec-seed-negative", ["decompose", "@" + DEFECT, "--method", "npceemd", "--seed", "-1"]),

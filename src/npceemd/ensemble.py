@@ -12,6 +12,7 @@ themselves follow one another in the caller.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +23,7 @@ from .emd import (
     sift_mode, take_modes,
 )
 from .noise import generate_fgn, generate_white
-from .signals import Signal, _from_unit_peak, _is_integral, _to_unit_peak
+from .signals import Signal, _check_int, _check_real, _from_unit_peak, _to_unit_peak
 
 METHODS = ("emd", "eemd", "ceemd", "ceemdan", "npceemd")
 
@@ -47,18 +48,13 @@ class EnsembleConfig:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
-        if not _is_integral(self.ensemble_size):
-            raise ValueError("ensemble_size must be an integer")
-        if self.ensemble_size < 1:
-            raise ValueError("ensemble_size must be >= 1")
-        if not _is_integral(self.master_seed):
-            raise ValueError("master_seed must be an integer")
-        if self.master_seed < 0:
-            raise ValueError("master_seed must be >= 0")
-        if not 0.0 < self.noise_scale < float("inf"):
-            raise ValueError("noise_scale must be positive and finite")
-        if not 0.0 < self.hurst < 1.0:
-            raise ValueError("hurst must lie strictly inside (0, 1)")
+        _check_int("ensemble_size", self.ensemble_size, 1)
+        _check_int("master_seed", self.master_seed, 0)
+        _check_real("noise_scale", self.noise_scale, "be positive and finite",
+                    lambda v: 0 < v < math.inf)
+        _check_real("hurst", self.hurst, "lie strictly inside (0, 1)", lambda h: 0 < h < 1)
+        if not isinstance(self.sift, SiftConfig):
+            raise ValueError(f"sift must be a SiftConfig, not {self.sift!r}")
 
 
 def _trial_noise(cfg: EnsembleConfig, n: int, trial: int, fractional: bool) -> np.ndarray:

@@ -12,7 +12,7 @@ from scipy.special import digamma
 
 from . import workers
 from .emd import ImfSet
-from .signals import Signal, ZeroVariance, _to_unit_peak, kurtosis
+from .signals import Signal, ZeroVariance, _check_int, _to_unit_peak, kurtosis
 
 
 class DegenerateData(ValueError):
@@ -104,8 +104,7 @@ def knn_mutual_information(x: np.ndarray, y: np.ndarray, k: int = KSG_K) -> floa
     if xv.size != yv.size:
         raise ValueError("x and y must have the same length")
     n = xv.size
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _check_int("k", k, 1)
     if n <= k + 1:
         raise ValueError(f"need more than k+1={k + 1} samples, got {n}")
     if xv.max() == xv.min() or yv.max() == yv.min():

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 
-from .signals import Seed
+from .signals import Seed, _check_int, _check_real
 
 # Circulant embedding allocates complex arrays of twice the requested
 # length; this cap keeps a single generation under ~0.5 GB.
@@ -20,8 +20,7 @@ def fgn_autocovariance(hurst: float, lag: int | np.ndarray) -> float | np.ndarra
     (|k-1|^(2H) - 2|k|^(2H) + |k+1|^(2H)) / 2, a float for a scalar lag;
     equals 1 at lag 0 and vanishes for positive lags when H = 0.5.
     """
-    if not 0.0 < hurst < 1.0:
-        raise ValueError("hurst must lie strictly inside (0, 1)")
+    _check_real("hurst", hurst, "lie strictly inside (0, 1)", lambda h: 0 < h < 1)
     k = np.abs(np.asarray(lag, dtype=np.float64))
     h2 = 2.0 * hurst
     gamma = 0.5 * (np.abs(k - 1.0) ** h2 - 2.0 * k**h2 + (k + 1.0) ** h2)
@@ -30,8 +29,7 @@ def fgn_autocovariance(hurst: float, lag: int | np.ndarray) -> float | np.ndarra
 
 def generate_white(length: int, seed: Seed) -> np.ndarray:
     """I.i.d. standard normal samples, deterministic for a fixed seed."""
-    if length < 1:
-        raise ValueError("length must be positive")
+    _check_int("length", length, 1)
     return np.random.default_rng(seed).standard_normal(length)
 
 
@@ -48,8 +46,7 @@ def generate_fgn(hurst: float, length: int, seed: Seed) -> np.ndarray:
     more than 1e-8 of the largest eigenvalue.
     """
     n = length
-    if n < 1:
-        raise ValueError("length must be positive")
+    _check_int("length", n, 1)
     if n > MAX_FGN_LENGTH:
         raise ValueError(f"length {n} exceeds cap {MAX_FGN_LENGTH}")
     m = 2 * n

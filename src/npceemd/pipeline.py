@@ -11,7 +11,7 @@ import numpy as np
 from .emd import ImfSet
 from .ensemble import EnsembleConfig, decompose
 from .mi import MiScore, score_imfs, select_by_kurtosis, select_by_mi
-from .signals import Signal, _to_unit_peak
+from .signals import Signal, _check_real, _to_unit_peak
 from .spectral import (
     MIN_ENVELOPE_SAMPLES,
     PEAK_RATIO_THRESHOLD,
@@ -105,8 +105,9 @@ def diagnose(
     if n < MIN_ENVELOPE_SAMPLES:
         raise ValueError(f"need at least {MIN_ENVELOPE_SAMPLES} samples, got {n}")
     nyquist = float(np.fft.rfftfreq(n, 1.0 / raw.sample_rate_hz)[-1])
-    if target_hz is not None and not 0.0 < target_hz < nyquist:
-        raise ValueError(f"target_hz must lie in (0, {nyquist}) Hz, got {target_hz}")
+    if target_hz is not None:
+        _check_real("target_hz", target_hz, f"lie in (0, {nyquist}) Hz, got {target_hz}",
+                    lambda v: 0 < v < nyquist)
 
     imf_set = decompose(raw, cfg)
     if select == "mi":

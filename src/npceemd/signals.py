@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -17,6 +17,24 @@ Seed = Union[int, Sequence[int], np.random.SeedSequence]
 def _is_integral(value: object) -> bool:
     """An integer of any integer type, but not a bool."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_int(name: str, value: object, low: int, when: str = "") -> None:
+    """ValueError naming ``name`` unless value is an integer >= ``low``, not a
+    bool; ``when`` ends both messages, as in "max_imfs must be >= 1 when given"."""
+    if not _is_integral(value):
+        raise ValueError(f"{name} must be an integer{when}, not {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}{when}")
+
+
+def _check_real(name: str, value: object, rule: str, ok: Callable[[float], bool]) -> None:
+    """ValueError naming ``name`` unless value is a real number, not a bool, for
+    which ``ok`` holds (else "name must <rule>"); NaN fails every comparison."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a real number, not {value!r}")
+    if not ok(value):
+        raise ValueError(f"{name} must {rule}")
 
 
 def _check_seed(name: str, seed: object) -> None:
@@ -56,11 +74,9 @@ class Signal:
             raise ValueError(f"need at least 4 samples, got {samples.size}")
         if not np.all(np.isfinite(samples)):
             raise ValueError("samples must all be finite")
-        if isinstance(self.sample_rate_hz, (bool, np.bool_)):
-            raise ValueError("sample_rate_hz must be a number, not a bool")
+        _check_real("sample_rate_hz", self.sample_rate_hz, "be finite and positive",
+                    lambda v: 0 < v < math.inf)
         rate = float(self.sample_rate_hz)
-        if not (rate > 0 and math.isfinite(rate)):
-            raise ValueError("sample_rate_hz must be finite and positive")
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "sample_rate_hz", rate)
 
@@ -121,6 +137,14 @@ def kurtosis(s: "Signal | np.ndarray") -> float:
     return m4 / (m2 * m2)
 
 
+def _power_ratio(snr_db: float) -> float:
+    """10**(snr_db/10), inf where that overflows."""
+    try:
+        return 10.0 ** (float(snr_db) / 10.0)
+    except OverflowError:
+        return math.inf
+
+
 def mix_to_snr(clean: Signal, noise_seed: Seed, snr_db: float) -> Signal:
     """Add white Gaussian noise rescaled so the realized SNR is exact.
 
@@ -132,16 +156,9 @@ def mix_to_snr(clean: Signal, noise_seed: Seed, snr_db: float) -> Signal:
     raises ValueError. So does an ``snr_db`` that is not finite, or whose
     power ratio 10**(snr_db/10) underflows to 0 or overflows.
     """
-    snr_db = float(snr_db)
-    try:
-        ratio = 10.0 ** (snr_db / 10.0)
-    except OverflowError:
-        ratio = math.inf
-    if not 0.0 < ratio < math.inf:
-        raise ValueError(
-            f"snr_db must be finite, with 10**(snr_db/10) neither 0 nor "
-            f"overflowing, got {snr_db}"
-        )
+    _check_real("snr_db", snr_db, f"be finite, with 10**(snr_db/10) neither 0 nor "
+                f"overflowing, got {snr_db}", lambda v: 0.0 < _power_ratio(v) < math.inf)
+    ratio = _power_ratio(snr_db)
     x, e = _to_unit_peak(clean.samples)
     p_clean = float(np.mean(x * x))
     if p_clean == 0.0:

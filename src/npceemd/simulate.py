@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .noise import MAX_FGN_LENGTH
-from .signals import Seed, Signal, _check_seed, mix_to_snr
+from .signals import Seed, Signal, _check_int, _check_real, _check_seed, mix_to_snr
 
 # The tone/impulse fixtures use one second at this rate.
 FIXTURE_SAMPLE_RATE_HZ = 32768.0
@@ -89,34 +89,30 @@ class DefectSimParams:
 
     def __post_init__(self) -> None:
         # A NaN or infinite value here would not fail later: it silently drops
-        # the bursts or the noise. The rate and duration are checked below.
+        # the bursts or the noise. The rate is bounded by f_n's and the count's checks.
         for name in ("f_m", "T_prime", "f_n", "B", "amplitude_scale", "jitter_frac",
                      "noise_sigma"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+            _check_real(name, getattr(self, name), "be finite", lambda v: abs(v) < math.inf)
+        _check_real("sample_rate_hz", self.sample_rate_hz, "be a real number", lambda v: True)
         _check_seed("seed", self.seed)
         # f_n > 0 comes first: the period test divides by it.
-        if not 0.0 < self.f_n < self.sample_rate_hz / 2.0:
-            raise ValueError(
-                f"f_n must lie in (0, sample_rate_hz / 2), got f_n={self.f_n} "
-                f"and sample_rate_hz={self.sample_rate_hz}"
-            )
-        if not self.T_prime > 1.0 / self.f_n:
-            raise ValueError("T_prime must exceed one resonance cycle, 1 / f_n")
-        if self.jitter_frac < 0:
-            raise ValueError("jitter_frac must be nonnegative")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be nonnegative")
-        if not self.duration_s > 0:
-            raise ValueError("duration_s must be positive")
+        _check_real("f_n", self.f_n, f"lie in (0, sample_rate_hz / 2), got f_n={self.f_n} "
+                    f"and sample_rate_hz={self.sample_rate_hz}",
+                    lambda v: 0 < v < self.sample_rate_hz / 2)
+        _check_real("T_prime", self.T_prime, "exceed one resonance cycle, 1 / f_n",
+                    lambda v: v > 1 / self.f_n)
+        _check_real("jitter_frac", self.jitter_frac, "be nonnegative", lambda v: v >= 0)
+        # Onsets differ by T' * (1 + jitter_frac * (u2 - u1)), u in [-1, 1):
+        # above one half two can swap, and a burst is dropped.
+        _check_real("jitter_frac", self.jitter_frac, "be at most 0.5", lambda v: v <= 0.5)
+        _check_real("noise_sigma", self.noise_sigma, "be nonnegative", lambda v: v >= 0)
+        _check_real("duration_s", self.duration_s, "be positive", lambda v: v > 0)
         # gen_defect_signal allocates this many samples; the fGn cap bounds
         # it, and a non-finite rate or duration gives no count at all.
         samples = self.duration_s * self.sample_rate_hz
-        if not (math.isfinite(samples) and round(samples) <= MAX_FGN_LENGTH):
-            raise ValueError(
-                f"duration_s * sample_rate_hz must be finite and round to at "
-                f"most {MAX_FGN_LENGTH} samples, got {samples}"
-            )
+        _check_real("duration_s * sample_rate_hz", samples, f"be finite and round to at most "
+                    f"{MAX_FGN_LENGTH} samples, got {samples}",
+                    lambda v: abs(v) < math.inf and round(v) <= MAX_FGN_LENGTH)
 
     @property
     def defect_frequency_hz(self) -> float:
@@ -150,8 +146,8 @@ def gen_defect_signal(p: DefectSimParams, severity: float) -> Signal:
     deviation ``noise_sigma`` is added on top. Output is exactly linear
     in ``severity`` when the noise is off.
     """
-    if not (math.isfinite(severity) and severity >= 0):
-        raise ValueError(f"severity must be finite and nonnegative, got {severity}")
+    _check_real("severity", severity, f"be finite and nonnegative, got {severity}",
+                lambda v: 0 <= v < math.inf)
     rng = np.random.default_rng(p.seed)
     n = int(round(p.duration_s * p.sample_rate_hz))
     t = np.arange(n, dtype=np.float64) / p.sample_rate_hz
@@ -184,8 +180,7 @@ def gen_degradation_run(p: DefectSimParams, n_specimens: int) -> DegradationRun:
     Per-specimen seeds are derived deterministically from the parameter
     seed, so the run is reproducible and specimens are independent.
     """
-    if n_specimens < 1:
-        raise ValueError("n_specimens must be >= 1")
+    _check_int("n_specimens", n_specimens, 1)
     child_seeds = np.random.SeedSequence(p.seed).generate_state(
         n_specimens, dtype=np.uint64
     )

@@ -1,4 +1,5 @@
 import importlib
+import math
 import warnings
 from collections import Counter
 
@@ -405,6 +406,26 @@ def test_emd_scans_each_residue_once(monkeypatch):
     out = emd(Signal(x + 0.3 * t, 1000.0))
     assert out.n_imfs >= 3
     assert calls["sift_once"] <= calls["find_extrema"] <= calls["sift_once"] + 1
+
+
+def test_an_infinite_sd_threshold_sifts_each_mode_once(monkeypatch):
+    # Every Cauchy SD is below inf, so each mode stops after its first sift:
+    # the same modes, bit for bit, as a cap of one sift per mode.
+    module = importlib.import_module("npceemd.emd")
+    calls = Counter()
+    sift_once = module.sift_once
+
+    def counted(*args, **kwargs):
+        calls["sift_once"] += 1
+        return sift_once(*args, **kwargs)
+
+    monkeypatch.setattr(module, "sift_once", counted)
+    s = Signal(np.random.default_rng(9).standard_normal(512), 100.0)
+    out = emd(s, SiftConfig(sd_threshold=math.inf))
+    assert out.n_imfs >= 3
+    assert calls["sift_once"] == out.n_imfs
+    capped = emd(s, SiftConfig(max_sift_iterations=1))
+    assert all(np.array_equal(a, b) for a, b in zip(out.imfs, capped.imfs, strict=True))
 
 
 def test_emd_pure_tone():

@@ -5,7 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from npceemd import DefectSimParams, Signal, kurtosis, mix_to_snr, rms
+from npceemd import (
+    DefectSimParams, EnsembleConfig, SiftConfig, Signal, diagnose, fgn_autocovariance,
+    gen_defect_signal, gen_degradation_run, generate_fgn, generate_white,
+    knn_mutual_information, kurtosis, mix_to_snr, rms,
+)
 from npceemd.signals import ZeroVariance
 
 
@@ -18,12 +22,121 @@ def test_signal_rejects_short_nonfinite_and_bad_rate():
         Signal(np.zeros(8), 0.0)
 
 
-@pytest.mark.parametrize("rate", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
-def test_signal_rejects_a_non_finite_rate(rate):
-    # an infinite rate gives bin spacings of zero, which the envelope
-    # spectrum divides by
-    with pytest.raises(ValueError, match="finite"):
-        Signal(np.zeros(8), rate)
+# Every numeric config field and public scalar argument is walked through
+# these inputs. Each is either rejected with a ValueError whose message
+# starts with the field's name, or listed below as accepted, with why.
+VALUES = {
+    "True": True, "False": False, "2.5": 2.5, "2.0": 2.0, "nan": math.nan, "inf": math.inf,
+    "-inf": -math.inf, "0": 0, "-1": -1, "None": None, "'3'": "3", "int64(3)": np.int64(3),
+}
+# No bool, None or string is a number, and no float, integral or not, is
+# an integer: these are refused as "<field> must be a real number" or
+# "<field> must be an integer" before any bound is tried.
+NOT_REAL = {"True", "False", "None", "'3'"}
+NOT_INT = NOT_REAL | {"2.5", "2.0", "nan", "inf", "-inf"}
+NUMPY_INT = {"int64(3)": "a numpy integer is an integer"}
+POSITIVE = {v: "a finite positive value" for v in ("2.5", "2.0", "int64(3)")}
+ANY_FINITE = {v: "any finite value" for v in ("2.5", "2.0", "0", "-1", "int64(3)")}
+NON_FINITE = ("nan", "inf", "-inf")
+
+_RNG = np.random.default_rng(2)
+RECORD = Signal(_RNG.standard_normal(64), 100.0)  # Nyquist 50 Hz
+NOISE = _RNG.standard_normal(64)
+
+
+def _field(cls, name):
+    return lambda v: cls(**{name: v})
+
+
+def _finite(label, accepted, **expect):
+    """A burst parameter of DefectSimParams: finite, then its own bounds."""
+    name = label.split(".")[1]
+    prefixes = {v: f"{name} must be finite" for v in NON_FINITE}
+    return label, "real", _field(DefectSimParams, name), accepted, {**prefixes, **expect}
+
+
+# label "Owner.field", kind, make(value), accepted {value: why}, and the
+# message prefix of a rejection where it says more than the field's name
+FIELDS = [
+    ("SiftConfig.max_sift_iterations", "int", _field(SiftConfig, "max_sift_iterations"),
+     NUMPY_INT, {}),
+    ("SiftConfig.sd_threshold", "real", _field(SiftConfig, "sd_threshold"),
+     {**POSITIVE, "inf": "each mode stops after one sift: every Cauchy SD is below it"}, {}),
+    ("SiftConfig.max_imfs", "int", _field(SiftConfig, "max_imfs"),
+     {**NUMPY_INT, "None": "no cap given: floor(log2 n) modes"}, {}),
+    ("EnsembleConfig.ensemble_size", "int", _field(EnsembleConfig, "ensemble_size"),
+     NUMPY_INT, {}),
+    ("EnsembleConfig.noise_scale", "real", _field(EnsembleConfig, "noise_scale"), POSITIVE, {}),
+    ("EnsembleConfig.hurst", "real", _field(EnsembleConfig, "hurst"), {}, {}),
+    ("EnsembleConfig.master_seed", "int", _field(EnsembleConfig, "master_seed"),
+     {**NUMPY_INT, "0": "seeds start at 0"}, {}),
+    ("EnsembleConfig.sift", "sift", _field(EnsembleConfig, "sift"), {}, {}),
+    _finite("DefectSimParams.f_m", {**ANY_FINITE, "0": "unmodulated bursts; cos is even in f_m"}),
+    _finite("DefectSimParams.T_prime",
+            {v: "a period past the 0.5 s record launches no burst" for v in POSITIVE}),
+    # the default T' of 15 ms is shorter than one cycle of so low a resonance
+    _finite("DefectSimParams.f_n", {},
+            **{v: "T_prime must exceed one resonance cycle" for v in POSITIVE}),
+    _finite("DefectSimParams.B", {**ANY_FINITE, "-1": "each burst ends at the next onset"}),
+    _finite("DefectSimParams.amplitude_scale", {**ANY_FINITE, "-1": "the record is linear in it"}),
+    _finite("DefectSimParams.jitter_frac", {"0": "onsets exactly T' apart"},
+            **{v: "jitter_frac must be at most 0.5" for v in POSITIVE}),
+    _finite("DefectSimParams.noise_sigma", {**POSITIVE, "0": "no noise"}),
+    # the rate's range is checked as f_n's upper bound and by the sample
+    # count, which DefectSimParams' CLI messages have always named that way
+    ("DefectSimParams.sample_rate_hz", "real", _field(DefectSimParams, "sample_rate_hz"), {},
+     {**{v: "f_n must lie in (0, sample_rate_hz / 2)"
+         for v in ("2.5", "2.0", "nan", "-inf", "0", "-1", "int64(3)")},
+      "inf": "duration_s * sample_rate_hz must be finite"}),
+    ("DefectSimParams.duration_s", "real", _field(DefectSimParams, "duration_s"), POSITIVE,
+     {"inf": "duration_s * sample_rate_hz must be finite"}),
+    ("DefectSimParams.seed", "seed", _field(DefectSimParams, "seed"),
+     {**NUMPY_INT, "0": "seeds start at 0"}, {}),
+    ("Signal.sample_rate_hz", "real", lambda v: Signal(np.zeros(8), v), POSITIVE,
+     {v: "sample_rate_hz must be finite" for v in NON_FINITE}),
+    ("generate_white.length", "int", lambda v: generate_white(v, 0), NUMPY_INT, {}),
+    ("generate_fgn.length", "int", lambda v: generate_fgn(0.5, v, 0), NUMPY_INT, {}),
+    ("fgn_autocovariance.hurst", "real", lambda v: fgn_autocovariance(v, 1), {}, {}),
+    ("gen_defect_signal.severity", "real", lambda v: gen_defect_signal(DefectSimParams(), v),
+     {**POSITIVE, "0": "a healthy record: noise only"}, {}),
+    ("gen_degradation_run.n_specimens", "int",
+     lambda v: gen_degradation_run(DefectSimParams(duration_s=0.01), v), NUMPY_INT, {}),
+    ("knn_mutual_information.k", "int", lambda v: knn_mutual_information(RECORD.samples, NOISE, v),
+     NUMPY_INT, {}),
+    ("mix_to_snr.snr_db", "real", lambda v: mix_to_snr(RECORD, 0, v),
+     {**ANY_FINITE, "0": "equal powers", "-1": "more noise than record"}, {}),
+    ("diagnose.target_hz", "real",
+     lambda v: diagnose(RECORD, EnsembleConfig(method="emd"), select="kurtosis", target_hz=v),
+     {**POSITIVE, "None": "no target: any peak above the floor decides"}, {}),
+]
+KIND_PREFIX = {"seed": "seed must be a non-negative integer", "sift": "sift must be a SiftConfig"}
+CASES = [(row, value) for row in FIELDS for value in VALUES]
+
+
+@pytest.mark.parametrize("row,value", CASES, ids=[f"{r[0]}-{v}" for r, v in CASES])
+def test_every_config_field_takes_odd_inputs_one_way(row, value):
+    # A bool ran as 0 or 1, None and strings raised TypeError or were
+    # parsed, sift=None failed deep in the decomposition, and a jitter_frac
+    # above 0.5 dropped bursts; now every field is checked by signals'
+    # _check_int, _check_real or _check_seed.
+    label, kind, make, accepted, expect = row
+    field = label.split(".")[1]
+    if value in accepted:
+        out = make(VALUES[value])
+        if field in getattr(out, "__dataclass_fields__", ()):
+            assert getattr(out, field) == VALUES[value]
+        return
+    if value in expect:
+        prefix = expect[value]
+    elif kind in KIND_PREFIX:
+        prefix = KIND_PREFIX[kind]
+    elif value in (NOT_INT if kind == "int" else NOT_REAL):
+        prefix = f"{field} must be {'an integer' if kind == 'int' else 'a real number'}"
+    else:
+        prefix = field
+    with pytest.raises(ValueError) as err:
+        make(VALUES[value])
+    assert str(err.value).startswith(prefix), str(err.value)
 
 
 @pytest.mark.parametrize("field,value,accepted", [

@@ -127,6 +127,29 @@ class TestDefectSignal:
         slack = p.jitter_frac * p.T_prime + 2.0 / p.sample_rate_hz
         assert np.all(np.abs(t - nominal) <= slack)
 
+    def test_onsets_stay_ascending_at_the_largest_jitter(self, monkeypatch):
+        # Consecutive onsets differ by T' * (1 + jitter_frac * (u2 - u1)) with
+        # u uniform in [-1, 1), which stays positive up to jitter_frac = 0.5.
+        # At 0.9, seed 3 put 4 of 33 onsets out of order and dropped bursts;
+        # DefectSimParams now refuses it. Each burst looks up its onset and
+        # then its end, the next onset, in the sample times.
+        looked_up = []
+        searchsorted = np.searchsorted
+
+        def spy(a, v, side="left"):
+            looked_up.append(v)
+            return searchsorted(a, v, side=side)
+
+        monkeypatch.setattr(np, "searchsorted", spy)
+        for seed in range(20):
+            looked_up.clear()
+            gen_defect_signal(DefectSimParams(jitter_frac=0.5, noise_sigma=0.0, seed=seed), 1.0)
+            onsets = np.array(looked_up[::2])
+            assert onsets.size == 33
+            assert np.all(np.diff(onsets) > 0), seed
+        with pytest.raises(ValueError, match="^jitter_frac must be at most 0.5"):
+            DefectSimParams(jitter_frac=0.9, seed=3)
+
 
 class TestDegradationRun:
     def test_single_specimen(self):
