@@ -11,9 +11,10 @@ change keeps its artifacts byte for byte:
     python scripts/cli_artifacts.py --out /tmp/change
     diff -r /tmp/parent /tmp/change
 
-Only the labels under "exit 2" below are meant to differ, and only where
-a change turns an accepted invocation into a usage error on purpose, or
-the labels a fix changes on purpose. Against a tree that still has them:
+Only the labels listed here are meant to differ: those under "exit 2"
+below where a change turns an accepted invocation into a usage error on
+purpose, and the labels a fix changes on purpose. Against a tree that
+still has them:
 
 - `dia-mi-target` sets the removed `--mi-threshold` and `--k`; it exits 2
   and writes nothing (`dia-mi-target-default` keeps that run's artifacts
@@ -34,7 +35,18 @@ the labels a fix changes on purpose. Against a tree that still has them:
   byte's offset in the file (exit 2 either way, nothing written);
 - `x-jitter-large` exits 0 with a record in which 4 of the 33 onsets are
   out of order, so some bursts are dropped, where `DefectSimParams`
-  rejects a `jitter_frac` above 0.5 by name (exit 2, nothing written).
+  rejects a `jitter_frac` above 0.5 by name (exit 2, nothing written);
+- the `compare.csv` of `cmp-methods`, `cmp-hurst`, `cmp-ensemble` and
+  `cmp-method` differ in the last digits of the correlations, which
+  `np.dot` took with a multithreaded BLAS and so with digits that depended
+  on its thread count; the calling-thread sums of products give one value
+  (`compare.txt` rounds to 4 places and does not change);
+- `x-rate-zero` and `x-rate-inf` exit 2 blaming `f_n` and the sample
+  count, where `DefectSimParams` names `sample_rate_hz` (exit 2 either way,
+  nothing written);
+- `x-decay-negative` prints two overflow `RuntimeWarning`s and exits 2
+  with "samples must all be finite", where `DefectSimParams` rejects a
+  negative decay `B` by name (exit 2 either way, nothing written).
 
 The table runs in under ten seconds on two cores.
 
@@ -156,10 +168,11 @@ INVOCATIONS = [
     ("cmp-method", ["compare", "--fixture", "combined", "--method", "emd", "--max-imfs", "2"]),
     # exit 2: flags a fixture does not read, a sample rate of 0, a sample
     # count that is not finite or above the cap, a burst parameter that is
-    # not finite, a flag before the fixture name, grids with an invalid point,
-    # diagnose flags it does not take or checks before decomposing, a sample rate given
-    # beside a time column, and an infinite sample rate, given or from a
-    # time column spaced by the smallest subnormal
+    # not finite, a negative decay, a flag before the fixture name, grids
+    # with an invalid point, diagnose flags it does not take or checks
+    # before decomposing, a sample rate given beside a time column, and an
+    # infinite sample rate, given or from a time column spaced by the
+    # smallest subnormal
     ("x-tone-snr-rate", ["simulate", "tone", "--sample-rate", "5000", "--snr-db", "-10"]),
     ("x-impulses-fm", ["simulate", "impulses", "--fm", "30"]),
     ("x-combined-severity", ["simulate", "combined", "--severity", "2"]),
@@ -174,6 +187,8 @@ INVOCATIONS = [
     ("x-noise-sigma-nan", ["simulate", "defect", "--seed", "1", "--noise-sigma", "nan"]),
     ("x-jitter-nan", ["simulate", "defect", "--seed", "1", "--jitter-frac", "nan"]),
     ("x-decay-inf", ["simulate", "defect", "--seed", "1", "--decay", "inf"]),
+    # argparse reads a lone "-1e5" as an option, so the value is attached
+    ("x-decay-negative", ["simulate", "defect", "--seed", "1", "--decay=-1e5"]),
     ("x-t-prime-inf", ["simulate", "defect", "--seed", "1", "--t-prime", "inf"]),
     ("x-jitter-large", ["simulate", "defect", "--seed", "3", "--jitter-frac", "0.9"]),
     ("x-seed-first", ["simulate", "--seed", "4", "tone"]),

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError, get_lapack_funcs
 
-from .signals import Signal, _check_int, _check_real, _from_unit_peak, _to_unit_peak
+from .signals import Signal, _check_int, _check_real, _dot, _from_unit_peak, _to_unit_peak
 
 # LAPACK's tridiagonal solver, the routine solve_banded runs for (1, 1) bands.
 (_GTSV,) = get_lapack_funcs(("gtsv",), dtype=np.float64)
@@ -214,13 +214,6 @@ def sift_once(h: np.ndarray, *, extrema: Extrema | None = None) -> np.ndarray:
     return x - 0.5 * (upper + lower)
 
 
-def _sum_squares(v: np.ndarray) -> float:
-    """Sum of squares on the calling thread. np.dot would pass long 1-D
-    arrays to a multithreaded BLAS, whose threads stall whenever another
-    process holds a CPU, and whose result depends on its thread count."""
-    return float(np.einsum("i,i->", v, v))
-
-
 def mode_extrema(residue: np.ndarray) -> Extrema | None:
     """``find_extrema(residue)`` if another mode can be sifted out, else None.
 
@@ -248,11 +241,11 @@ def sift_mode(residue: np.ndarray, extrema: Extrema, cfg: SiftConfig) -> np.ndar
         # The residue's scan serves the first pass only.
         extrema = None
         diff = h - h_new
-        denom = _sum_squares(h)
+        denom = _dot(h, h)
         h = h_new
         if denom == 0.0:
             break
-        if _sum_squares(diff) / denom < cfg.sd_threshold:
+        if _dot(diff, diff) / denom < cfg.sd_threshold:
             break
     return h
 

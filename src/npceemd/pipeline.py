@@ -11,12 +11,13 @@ import numpy as np
 from .emd import ImfSet
 from .ensemble import EnsembleConfig, decompose
 from .mi import MiScore, score_imfs, select_by_kurtosis, select_by_mi
-from .signals import Signal, _check_real, _to_unit_peak
+from .signals import Signal, _dot, _to_unit_peak
 from .spectral import (
     MIN_ENVELOPE_SAMPLES,
     PEAK_RATIO_THRESHOLD,
     EnvelopeSpectrum,
     PeakDetection,
+    _check_target_hz,
     analytic_envelope,
     detect_defect_peak,
     envelope_spectrum,
@@ -72,10 +73,10 @@ def _pearson(a: np.ndarray, b: np.ndarray) -> float:
     a, b = _to_unit_peak(a)[0], _to_unit_peak(b)[0]
     da = a - a.mean()
     db = b - b.mean()
-    denom = float(np.sqrt(np.dot(da, da) * np.dot(db, db)))
+    denom = float(np.sqrt(_dot(da, da) * _dot(db, db)))
     if denom == 0.0:
         return 0.0
-    return float(np.dot(da, db) / denom)
+    return _dot(da, db) / denom
 
 
 def diagnose(
@@ -106,8 +107,7 @@ def diagnose(
         raise ValueError(f"need at least {MIN_ENVELOPE_SAMPLES} samples, got {n}")
     nyquist = float(np.fft.rfftfreq(n, 1.0 / raw.sample_rate_hz)[-1])
     if target_hz is not None:
-        _check_real("target_hz", target_hz, f"lie in (0, {nyquist}) Hz, got {target_hz}",
-                    lambda v: 0 < v < nyquist)
+        _check_target_hz(target_hz, nyquist)
 
     imf_set = decompose(raw, cfg)
     if select == "mi":

@@ -111,6 +111,13 @@ def _from_unit_peak(e: int, *arrays: np.ndarray) -> None:
                 raise ValueError(f"scaled by 2**{e}, a value outgrows the largest float")
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Sum of a * b on the calling thread. np.dot would pass long 1-D
+    arrays to a multithreaded BLAS, whose threads stall whenever another
+    process holds a CPU, and whose result depends on its thread count."""
+    return float(np.einsum("i,i->", a, b))
+
+
 def rms(s: "Signal | np.ndarray") -> float:
     """Root mean square of the samples, squared at a unit peak."""
     x, e = _to_unit_peak(_as_array(s))

@@ -89,11 +89,13 @@ class DefectSimParams:
 
     def __post_init__(self) -> None:
         # A NaN or infinite value here would not fail later: it silently drops
-        # the bursts or the noise. The rate is bounded by f_n's and the count's checks.
+        # the bursts or the noise.
         for name in ("f_m", "T_prime", "f_n", "B", "amplitude_scale", "jitter_frac",
                      "noise_sigma"):
             _check_real(name, getattr(self, name), "be finite", lambda v: abs(v) < math.inf)
-        _check_real("sample_rate_hz", self.sample_rate_hz, "be a real number", lambda v: True)
+        # The rate comes before the bounds that are written in terms of it.
+        _check_real("sample_rate_hz", self.sample_rate_hz, "be finite and positive",
+                    lambda v: 0 < v < math.inf)
         _check_seed("seed", self.seed)
         # f_n > 0 comes first: the period test divides by it.
         _check_real("f_n", self.f_n, f"lie in (0, sample_rate_hz / 2), got f_n={self.f_n} "
@@ -101,6 +103,8 @@ class DefectSimParams:
                     lambda v: 0 < v < self.sample_rate_hz / 2)
         _check_real("T_prime", self.T_prime, "exceed one resonance cycle, 1 / f_n",
                     lambda v: v > 1 / self.f_n)
+        # B is a decay rate: a negative one grows each burst until exp overflows.
+        _check_real("B", self.B, "be nonnegative", lambda v: v >= 0)
         _check_real("jitter_frac", self.jitter_frac, "be nonnegative", lambda v: v >= 0)
         # Onsets differ by T' * (1 + jitter_frac * (u2 - u1)), u in [-1, 1):
         # above one half two can swap, and a burst is dropped.
@@ -108,7 +112,7 @@ class DefectSimParams:
         _check_real("noise_sigma", self.noise_sigma, "be nonnegative", lambda v: v >= 0)
         _check_real("duration_s", self.duration_s, "be positive", lambda v: v > 0)
         # gen_defect_signal allocates this many samples; the fGn cap bounds
-        # it, and a non-finite rate or duration gives no count at all.
+        # it, and an infinite duration or product gives no count at all.
         samples = self.duration_s * self.sample_rate_hz
         _check_real("duration_s * sample_rate_hz", samples, f"be finite and round to at most "
                     f"{MAX_FGN_LENGTH} samples, got {samples}",

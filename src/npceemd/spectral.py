@@ -6,9 +6,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import fft, ifft
 
-from .signals import Signal, _as_array, _from_unit_peak, _to_unit_peak
+from .signals import Signal, _as_array, _check_real, _from_unit_peak, _to_unit_peak
 
 
 # Shortest record whose analytic envelope is taken; a diagnosis needs one.
@@ -66,10 +65,10 @@ def analytic_envelope(s: "Signal | np.ndarray") -> np.ndarray:
     # float does not overflow the FFT sums.
     unit, e = _to_unit_peak(x)
     n = unit.size
-    spectrum = fft(unit)
+    spectrum = np.zeros(n, dtype=np.complex128)
+    spectrum[: n // 2 + 1] = np.fft.rfft(unit)
     spectrum[1 : (n + 1) // 2] *= 2
-    spectrum[n // 2 + 1 :] = 0
-    env = np.abs(ifft(spectrum))
+    env = np.abs(np.fft.ifft(spectrum))
     _from_unit_peak(e, env)
     return env
 
@@ -122,6 +121,12 @@ def _local_floor(spec: EnvelopeSpectrum, center: int, half_width: int) -> float:
     return float(np.median(spread))
 
 
+def _check_target_hz(target_hz: object, nyquist_hz: float) -> None:
+    """ValueError naming target_hz unless it is a real number in (0, nyquist_hz)."""
+    _check_real("target_hz", target_hz, f"lie in (0, {nyquist_hz}) Hz, got {target_hz}",
+                lambda v: 0 < v < nyquist_hz)
+
+
 def detect_defect_peak(spec: EnvelopeSpectrum, target_hz: float) -> PeakDetection:
     """Test for a defect peak at the target frequency and its harmonics.
 
@@ -131,10 +136,7 @@ def detect_defect_peak(spec: EnvelopeSpectrum, target_hz: float) -> PeakDetectio
     the first ``N_HARMONICS`` multiples of the target that clears
     ``HARMONIC_RATIO_THRESHOLD`` times its own local floor.
     """
-    if not target_hz > 0:
-        raise ValueError("target_hz must be positive")
-    if target_hz >= spec.nyquist_hz:
-        raise ValueError(f"target {target_hz} Hz >= Nyquist {spec.nyquist_hz} Hz")
+    _check_target_hz(target_hz, spec.nyquist_hz)
     target_bin = int(round(target_hz / spec.resolution_hz))
     half_width = max(20, int(round(0.75 * target_bin)))
 

@@ -7,27 +7,16 @@ SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 PACKAGE = os.path.join(SRC, "npceemd")
 
 
-def test_import_loads_neither_scipy_signal_nor_stats():
+def test_import_loads_no_scipy_subpackage_the_package_does_not_use():
     # scipy.signal, and the scipy.stats it pulls in, were about half of
-    # every process start; the package needs neither.
+    # every process start; scipy.interpolate, and the scipy.optimize it
+    # pulls in, evaluated the envelope spline, which the package now
+    # evaluates itself; and the analytic envelope takes numpy's FFT, which
+    # gives scipy.fft's bits.
+    unused = ("scipy.signal", "scipy.stats", "scipy.interpolate", "scipy.optimize", "scipy.fft")
     probe = (
         "import sys, npceemd, npceemd.cli; "
-        "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", probe],
-        env=dict(os.environ, PYTHONPATH=SRC),
-        capture_output=True, text=True, check=True, timeout=120,
-    ).stdout
-    assert out.strip() == "[]"
-
-
-def test_import_loads_neither_scipy_interpolate_nor_optimize():
-    # scipy.interpolate, and the scipy.optimize it pulls in, evaluated the
-    # envelope spline, which the package now evaluates itself.
-    probe = (
-        "import sys, npceemd, npceemd.cli; "
-        "print(sorted(m for m in ('scipy.interpolate', 'scipy.optimize') if m in sys.modules))"
+        f"print(sorted(m for m in {unused!r} if m in sys.modules))"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe],

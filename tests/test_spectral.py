@@ -134,5 +134,5 @@ class TestDetectDefectPeak:
 
     def test_target_above_nyquist(self):
         spec = envelope_spectrum(am_signal())
-        with pytest.raises(ValueError, match="Nyquist"):
+        with pytest.raises(ValueError, match=r"^target_hz must lie in \(0, "):
             detect_defect_peak(spec, FS / 2.0)
