@@ -197,6 +197,17 @@ def test_invalid_params_rejected():
         gen_degradation_run(DefectSimParams(), 0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "field", ["f_m", "T_prime", "f_n", "B", "amplitude_scale", "jitter_frac", "noise_sigma"]
+)
+def test_burst_parameters_must_be_finite(field, value):
+    # each would otherwise give a record without its bursts or its noise,
+    # and a manifest holding NaN or Infinity
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        DefectSimParams(**{field: value})
+
+
 @pytest.mark.parametrize(
     "params,message",
     [({"sample_rate_hz": math.inf}, "sample_rate_hz must be finite and positive"),
