@@ -134,7 +134,9 @@ def _digest_file(path: str) -> str:
 
 
 def _digest_params(params: dict) -> str:
-    return hashlib.sha256(json.dumps(params, sort_keys=True).encode()).hexdigest()
+    return hashlib.sha256(
+        json.dumps(params, sort_keys=True).encode()
+    ).hexdigest()
 
 
 def _floats(line: str) -> list[float]:
@@ -164,9 +166,13 @@ def _rows_by_line(path: str, lines: list[str]) -> np.ndarray:
         if width is None:
             width = len(values)
             if width not in (1, 2):
-                raise ParseError(f"{path}:{lineno}: expected 1 or 2 columns, got {width}")
+                raise ParseError(
+                    f"{path}:{lineno}: expected 1 or 2 columns, got {width}"
+                )
         elif len(values) != width:
-            raise ParseError(f"{path}:{lineno}: expected {width} columns, got {len(values)}")
+            raise ParseError(
+                f"{path}:{lineno}: expected {width} columns, got {len(values)}"
+            )
         rows.append(values)
     if not rows:
         raise ParseError(f"{path}: no data rows")
@@ -236,7 +242,9 @@ def read_signal_csv(path: str, sample_rate_hz: float | None = None) -> Signal:
     width = data.shape[1]
     if width == 1:
         if sample_rate_hz is None:
-            raise ParseError(f"{path}: single-column input requires --sample-rate")
+            raise ParseError(
+                f"{path}: single-column input requires --sample-rate"
+            )
         rate = sample_rate_hz
     elif sample_rate_hz is not None:
         raise ParseError(f"{path}: --sample-rate is for single-column input; "

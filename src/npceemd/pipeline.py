@@ -11,13 +11,12 @@ import numpy as np
 from .emd import ImfSet
 from .ensemble import EnsembleConfig, decompose
 from .mi import MiScore, score_imfs, select_by_kurtosis, select_by_mi
-from .signals import Signal, _dot, _to_unit_peak
+from .signals import Signal, _check_real, _dot, _to_unit_peak
 from .spectral import (
     MIN_ENVELOPE_SAMPLES,
     PEAK_RATIO_THRESHOLD,
     EnvelopeSpectrum,
     PeakDetection,
-    _check_target_hz,
     analytic_envelope,
     detect_defect_peak,
     envelope_spectrum,
@@ -107,7 +106,8 @@ def diagnose(
         raise ValueError(f"need at least {MIN_ENVELOPE_SAMPLES} samples, got {n}")
     nyquist = float(np.fft.rfftfreq(n, 1.0 / raw.sample_rate_hz)[-1])
     if target_hz is not None:
-        _check_target_hz(target_hz, nyquist)
+        _check_real("target_hz", target_hz, f"lie in (0, {nyquist}) Hz, got {target_hz}",
+                    lambda v: 0 < v < nyquist)
 
     imf_set = decompose(raw, cfg)
     if select == "mi":

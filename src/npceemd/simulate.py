@@ -104,12 +104,11 @@ class DefectSimParams:
         _check_real("T_prime", self.T_prime, "exceed one resonance cycle, 1 / f_n",
                     lambda v: v > 1 / self.f_n)
         # B is a decay rate: a negative one grows each burst until exp overflows.
-        _check_real("B", self.B, "be nonnegative", lambda v: v >= 0)
-        _check_real("jitter_frac", self.jitter_frac, "be nonnegative", lambda v: v >= 0)
+        for name in ("B", "jitter_frac", "noise_sigma"):
+            _check_real(name, getattr(self, name), "be nonnegative", lambda v: v >= 0)
         # Onsets differ by T' * (1 + jitter_frac * (u2 - u1)), u in [-1, 1):
         # above one half two can swap, and a burst is dropped.
         _check_real("jitter_frac", self.jitter_frac, "be at most 0.5", lambda v: v <= 0.5)
-        _check_real("noise_sigma", self.noise_sigma, "be nonnegative", lambda v: v >= 0)
         _check_real("duration_s", self.duration_s, "be positive", lambda v: v > 0)
         # gen_defect_signal allocates this many samples; the fGn cap bounds
         # it, and an infinite duration or product gives no count at all.

@@ -65,10 +65,10 @@ def analytic_envelope(s: "Signal | np.ndarray") -> np.ndarray:
     # float does not overflow the FFT sums.
     unit, e = _to_unit_peak(x)
     n = unit.size
-    spectrum = np.zeros(n, dtype=np.complex128)
-    spectrum[: n // 2 + 1] = np.fft.rfft(unit)
+    spectrum = np.fft.rfft(unit)
     spectrum[1 : (n + 1) // 2] *= 2
-    env = np.abs(np.fft.ifft(spectrum))
+    # ifft pads the half spectrum with zeros up to n: the negative bins.
+    env = np.abs(np.fft.ifft(spectrum, n))
     _from_unit_peak(e, env)
     return env
 
@@ -121,12 +121,6 @@ def _local_floor(spec: EnvelopeSpectrum, center: int, half_width: int) -> float:
     return float(np.median(spread))
 
 
-def _check_target_hz(target_hz: object, nyquist_hz: float) -> None:
-    """ValueError naming target_hz unless it is a real number in (0, nyquist_hz)."""
-    _check_real("target_hz", target_hz, f"lie in (0, {nyquist_hz}) Hz, got {target_hz}",
-                lambda v: 0 < v < nyquist_hz)
-
-
 def detect_defect_peak(spec: EnvelopeSpectrum, target_hz: float) -> PeakDetection:
     """Test for a defect peak at the target frequency and its harmonics.
 
@@ -136,7 +130,8 @@ def detect_defect_peak(spec: EnvelopeSpectrum, target_hz: float) -> PeakDetectio
     the first ``N_HARMONICS`` multiples of the target that clears
     ``HARMONIC_RATIO_THRESHOLD`` times its own local floor.
     """
-    _check_target_hz(target_hz, spec.nyquist_hz)
+    _check_real("target_hz", target_hz, f"lie in (0, {spec.nyquist_hz}) Hz, got {target_hz}",
+                lambda v: 0 < v < spec.nyquist_hz)
     target_bin = int(round(target_hz / spec.resolution_hz))
     half_width = max(20, int(round(0.75 * target_bin)))
 
