@@ -48,6 +48,10 @@ still has them:
   with "samples must all be finite", where `DefectSimParams` rejects a
   negative decay `B` by name (exit 2 either way, nothing written).
 
+A row that a tree does not have is not a difference of its artifacts:
+`dec-combined-emd` is new, and a tree without it has no such directory
+and no such lines.
+
 The table runs in under ten seconds on two cores.
 
 Usage:
@@ -137,6 +141,10 @@ INVOCATIONS = [
                             *SMALL]),
     ("dec-column", ["decompose", "@inputs/values.csv", "--sample-rate", "500",
                     "--method", "emd"]),
+    # 12 columns of 32768 rows, above cli.HELPER_CELLS, so the rows are
+    # formatted beside helper processes where 2 or more CPUs are usable
+    ("dec-combined-emd", ["decompose", "@sim-noisy/combined_noisy.csv", "--method", "emd",
+                          "--verify"]),
     # diagnose: mi and kurtosis, each with and without --target-hz, and mi
     # with the default ensemble, whose IMFs outnumber the scoring threads
     ("dia-mi", ["diagnose", "@" + DEFECT, "--method", "npceemd", *SMALL]),

@@ -8,20 +8,24 @@ be reproduced byte-for-byte from its own header.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import itertools
 import json
 import math
 import os
+import shutil
+import subprocess
 import sys
 import tempfile
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from . import __version__
+from . import __version__, csvrows, workers
+from .csvrows import CSV_BLOCK_ROWS
 from .emd import SiftConfig
 from .ensemble import METHODS, EnsembleConfig, decompose
 from .mi import KSG_K, MI_THRESHOLD
@@ -74,13 +78,27 @@ def _manifest_line(manifest: dict) -> str:
     return f"# manifest: {json.dumps(manifest, sort_keys=True)}"
 
 
-def _atomic_write(path: str, lines: Iterable[str]) -> None:
+@contextlib.contextmanager
+def _atomic_file(path: str) -> Iterator[IO[str]]:
+    """A text file that replaces ``path`` whole if the block ends without
+    an error, and is removed if it raises.
+
+    It is created with mode 0o666 less the umask, as ``open(path, "w")``
+    creates a file. ``tempfile.mkstemp`` would give 0o600 whatever the
+    umask, and ``os.replace`` keeps the mode.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    while True:
+        tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.writelines(f"{line}\n" for line in lines)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -88,22 +106,82 @@ def _atomic_write(path: str, lines: Iterable[str]) -> None:
         raise
 
 
-# Rows formatted and written per block: the whole of a 32768-row table
-# at once would hold every cell's text in memory together.
-CSV_BLOCK_ROWS = 2048
+def _atomic_write(path: str, lines: Iterable[str]) -> None:
+    with _atomic_file(path) as fh:
+        fh.writelines(f"{line}\n" for line in lines)
+
+
+# Fewest cells of a table of float64 arrays that _write_csv formats in
+# helper processes beside the caller. Measured on a 2-vCPU VM as sets of
+# 21 writes alternating with the caller alone: the split won 0 and 3 of
+# 21 at 131 072 cells, where a new helper often ran on the caller's CPU;
+# 4 to 20 of 21 at 163 840 to 229 376; 17 and 18 of 21 at 262 144, and
+# 13 and 21 of 21 at 393 216. At 65 536 cells it lost 15 of 15 (44 -> 61 ms).
+HELPER_CELLS = 1 << 18
 
 
 def _cells(column: Sequence, start: int, stop: int) -> list[str]:
-    """The text of rows ``start:stop`` of one column.
-
-    An array's values are formatted by one ``repr`` of the block's Python
-    scalars; ``repr`` of each is its ``str``, and for a float the shortest
-    round-trip form, so identical values give identical bytes. Any other
-    column (names, integers, preformatted text) is ``str`` of each value.
-    """
+    """The text of rows ``start:stop`` of one column: ``csvrows.cells`` of
+    an array's values, and ``str`` of each value of any other column
+    (names, integers, preformatted text)."""
     if isinstance(column, np.ndarray):
-        return repr(column[start:stop].tolist())[1:-1].split(", ")
+        return csvrows.cells(column[start:stop].tolist())
     return [str(v) for v in column[start:stop]]
+
+
+def _blocks(columns: Sequence[Sequence], start: int, stop: int) -> Iterator[str]:
+    """The lines of rows ``start:stop``, ``CSV_BLOCK_ROWS`` rows at a time."""
+    for i in range(start, stop, CSV_BLOCK_ROWS):
+        yield csvrows.rows_text([_cells(c, i, min(i + CSV_BLOCK_ROWS, stop)) for c in columns])
+
+
+def _runs(columns: Sequence[Sequence]) -> list[int]:
+    """The row bounds of the runs a table is formatted in, one run per
+    process: whole blocks, up to one run per usable CPU for a table of at
+    least HELPER_CELLS cells that are all float64 arrays, and else one run."""
+    n = len(columns[0]) if columns else 0
+    blocks = -(-n // CSV_BLOCK_ROWS)
+    count = 1
+    if n * len(columns) >= HELPER_CELLS and sys.executable and all(
+        isinstance(c, np.ndarray) and c.ndim == 1 and c.dtype == np.float64 for c in columns
+    ):
+        count = min(workers.usable_cpus(), blocks)
+    return [blocks * j // count * CSV_BLOCK_ROWS for j in range(count)] + [n]
+
+
+# The helper program, csvrows.py, which a bare interpreter runs.
+_CSVROWS = os.path.abspath(csvrows.__file__)
+
+
+def _start_helper(
+    columns: Sequence[np.ndarray], start: int, stop: int, directory: str
+) -> tuple[subprocess.Popen, IO[bytes]]:
+    """A ``csvrows`` helper formatting rows ``start:stop`` into an unnamed
+    temporary file in ``directory``, and that file."""
+    with tempfile.TemporaryFile(dir=directory) as rows:
+        for column in columns:
+            rows.write(np.ascontiguousarray(column[start:stop]))
+        rows.seek(0)
+        text = tempfile.TemporaryFile(dir=directory, buffering=0)
+        try:
+            proc = subprocess.Popen(
+                [sys.executable, "-I", "-S", _CSVROWS, str(len(columns))], stdin=rows, stdout=text
+            )
+        except BaseException:
+            text.close()
+            raise
+    return proc, text
+
+
+def _end(helpers: list[tuple[subprocess.Popen, IO[bytes]]]) -> None:
+    """Kill each helper still running, wait for every one, close their
+    files, and empty the list."""
+    for proc, text in helpers:
+        if proc.poll() is None:
+            proc.kill()
+        proc.wait()
+        text.close()
+    helpers.clear()
 
 
 def _write_csv(
@@ -113,14 +191,34 @@ def _write_csv(
     are formatted and streamed out ``CSV_BLOCK_ROWS`` rows at a time.
 
     ``columns`` holds one column per header name, all of one length, or
-    nothing for a table without rows.
+    nothing for a table without rows. Each run of rows after the first
+    (see ``_runs``) is formatted by a helper process, and the caller
+    formats the first; where a helper cannot be started, the caller formats
+    every row. Every helper has ended when this returns or raises.
     """
-    n = len(columns[0]) if columns else 0
-    blocks = (
-        "\n".join(map(",".join, zip(*(_cells(c, i, i + CSV_BLOCK_ROWS) for c in columns))))
-        for i in range(0, n, CSV_BLOCK_ROWS)
-    )
-    _atomic_write(path, itertools.chain((_manifest_line(manifest), ",".join(header)), blocks))
+    directory = os.path.dirname(os.path.abspath(path))
+    bounds = _runs(columns)
+    helpers: list[tuple[subprocess.Popen, IO[bytes]]] = []
+    with _atomic_file(path) as fh:
+        try:
+            try:
+                for start, stop in zip(bounds[1:], bounds[2:]):
+                    helpers.append(_start_helper(columns, start, stop, directory))
+            except OSError:
+                _end(helpers)
+                bounds = [0, bounds[-1]]
+            fh.write(f"{_manifest_line(manifest)}\n{','.join(header)}\n")
+            fh.writelines(f"{block}\n" for block in _blocks(columns, 0, bounds[1]))
+            for proc, text in helpers:
+                if proc.wait():
+                    raise ChildProcessError(
+                        f"CSV formatting helper {proc.pid} exited with code {proc.returncode}"
+                    )
+                fh.flush()
+                text.seek(0)
+                shutil.copyfileobj(text, fh.buffer)
+        finally:
+            _end(helpers)
 
 
 def _write_json(path: str, manifest: dict, payload: dict) -> None:

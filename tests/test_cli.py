@@ -3,12 +3,15 @@ import itertools
 import json
 import math
 import os
+import stat
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from npceemd import DefectSimParams, EnsembleConfig, ImfSet, decompose
-from npceemd import cli
+from npceemd import cli, workers
 from npceemd.cli import (
     CSV_BLOCK_ROWS,
     EXIT_INCONCLUSIVE,
@@ -26,6 +29,7 @@ from npceemd.cli import (
 from npceemd.mi import KSG_K, MI_THRESHOLD
 from npceemd.pipeline import SELECTORS
 from conftest import DEGENERATE_LENGTHS, DEGENERATE_SHAPES, VERDICTS
+from test_workers import CHILDREN, run_fresh
 
 
 def run(*argv) -> int:
@@ -305,6 +309,147 @@ class TestWriteCsv:
             # no rows given as no columns, as for the MI scores of a flat record
             _write_csv(str(path), manifest, header, [])
             assert path.read_bytes() == expected
+
+
+class TestWriteCsvHelpers:
+    """A table of float arrays split between the caller and helper
+    processes, forced at any size by a floor of one cell."""
+
+    @pytest.fixture(autouse=True)
+    def popens(self, monkeypatch):
+        monkeypatch.setattr(cli, "HELPER_CELLS", 1)
+        calls = []
+        real = subprocess.Popen
+
+        def popen(argv, **kwargs):
+            calls.append(argv)
+            return real(argv, **kwargs)
+
+        monkeypatch.setattr(subprocess, "Popen", popen)
+        return calls
+
+    @staticmethod
+    def columns(n):
+        rng = np.random.default_rng(n)
+        special = np.resize(np.array(SPECIAL_VALUES), n)
+        wide = rng.standard_normal(n) * 10.0 ** rng.integers(-320, 300, n)
+        return [special, wide, special[::-1], wide[::-1]]
+
+    @staticmethod
+    def expected(columns):
+        rows = zip(*(c.tolist() for c in columns))
+        lines = [_manifest_line({}), "a,b,c,d", *(",".join(map(str, r)) for r in rows)]
+        return "".join(f"{line}\n" for line in lines).encode()
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize(
+        "n", [1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1, 5 * CSV_BLOCK_ROWS + 7]
+    )
+    def test_same_bytes_as_the_caller_alone(self, monkeypatch, tmp_path, popens, cpus, n):
+        monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
+        columns = self.columns(n)
+        _write_csv(str(tmp_path / "t.csv"), {}, "abcd", columns)
+        assert (tmp_path / "t.csv").read_bytes() == self.expected(columns)
+        assert len(popens) == min(cpus, -(-n // CSV_BLOCK_ROWS)) - 1
+        assert os.listdir(tmp_path) == ["t.csv"]
+
+    def test_one_usable_cpu_starts_no_process(self, monkeypatch, tmp_path, popens):
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 1)
+        columns = self.columns(4 * CSV_BLOCK_ROWS)
+        _write_csv(str(tmp_path / "t.csv"), {}, "abcd", columns)
+        assert (tmp_path / "t.csv").read_bytes() == self.expected(columns)
+        assert popens == []
+
+    @pytest.mark.parametrize("fails_at", [1, 2])
+    def test_a_helper_that_cannot_start_leaves_the_rows_to_the_caller(
+        self, monkeypatch, tmp_path, fails_at
+    ):
+        # the second failure leaves a helper started: it is ended and waited for
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 3)
+        started = []
+        real = subprocess.Popen
+
+        def popen(argv, **kwargs):
+            if len(started) + 1 == fails_at:
+                raise OSError("no process")
+            started.append(real(argv, **kwargs))
+            return started[-1]
+
+        monkeypatch.setattr(subprocess, "Popen", popen)
+        columns = self.columns(4 * CSV_BLOCK_ROWS)
+        _write_csv(str(tmp_path / "t.csv"), {}, "abcd", columns)
+        assert (tmp_path / "t.csv").read_bytes() == self.expected(columns)
+        assert len(started) == fails_at - 1
+        assert all(proc.returncode is not None for proc in started)
+        assert os.listdir(tmp_path) == ["t.csv"]
+
+    def test_a_helper_that_fails_leaves_no_file(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
+        real = subprocess.Popen
+        monkeypatch.setattr(subprocess, "Popen", lambda argv, **kwargs: real(
+            [sys.executable, "-c", "import sys; sys.exit(3)"], **kwargs
+        ))
+        with pytest.raises(ChildProcessError, match="exited with code 3$"):
+            _write_csv(str(tmp_path / "t.csv"), {}, "abcd", self.columns(4 * CSV_BLOCK_ROWS))
+        assert os.listdir(tmp_path) == []
+
+    def test_an_interrupt_ends_the_helpers(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 3)
+        started = []
+        real = subprocess.Popen
+
+        def popen(argv, **kwargs):
+            started.append(real([sys.executable, "-c", "import time; time.sleep(60)"], **kwargs))
+            return started[-1]
+
+        def interrupt(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(subprocess, "Popen", popen)
+        monkeypatch.setattr(cli, "_cells", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            _write_csv(str(tmp_path / "t.csv"), {}, "abcd", self.columns(4 * CSV_BLOCK_ROWS))
+        assert len(started) == 2
+        assert [proc.returncode for proc in started] == [-9, -9]
+        assert os.listdir(tmp_path) == []
+
+
+def test_decompose_leaves_no_child_process(tmp_path):
+    # a 32768-sample record, whose imfs.csv is formatted beside a helper
+    assert run("simulate", "combined-noisy", "--seed", "2", "--out", str(tmp_path)) == EXIT_OK
+    argv = ["decompose", str(tmp_path / "combined_noisy.csv"), "--method", "emd",
+            "--out", str(tmp_path / "dec")]
+    out = run_fresh(f"""
+    import os, subprocess
+    from npceemd import cli, workers
+    workers.usable_cpus = lambda: 2
+    real, started = subprocess.Popen, []
+    subprocess.Popen = lambda *a, **k: started.append(1) or real(*a, **k)
+    print(cli.main({argv!r}), len(started))
+    """ + CHILDREN)
+    assert out.split("\n")[:2] == ["0 1", "no child process"]
+
+
+def test_artifacts_take_the_umask_mode_with_the_same_bytes(tmp_path, tone_csv):
+    contents = []
+    for umask, mode in [(0o022, 0o644), (0o077, 0o600)]:
+        out = tmp_path / f"umask-{umask:03o}"
+        old = os.umask(umask)
+        try:
+            assert run("simulate", "tone", "--out", str(out)) == EXIT_OK
+            assert run("decompose", tone_csv, "--method", "emd", "--out", str(out)) == EXIT_OK
+            assert run("diagnose", tone_csv, "--method", "emd", "--out", str(out)) in (
+                EXIT_OK, EXIT_INCONCLUSIVE
+            )
+        finally:
+            os.umask(old)
+        paths = sorted(out.iterdir())
+        assert [p.name for p in paths] == [
+            "imfs.csv", "mi_scores.csv", "report.json", "spectrum.csv", "tone.csv"
+        ]
+        assert {stat.S_IMODE(p.stat().st_mode) for p in paths} == {mode}
+        contents.append([p.read_bytes() for p in paths])
+    assert contents[0] == contents[1]
 
 
 class TestDecompose:
