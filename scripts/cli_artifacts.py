@@ -11,46 +11,9 @@ change keeps its artifacts byte for byte:
     python scripts/cli_artifacts.py --out /tmp/change
     diff -r /tmp/parent /tmp/change
 
-Only the labels listed here are meant to differ: those under "exit 2"
-below where a change turns an accepted invocation into a usage error on
-purpose, and the labels a fix changes on purpose. Against a tree that
-still has them:
-
-- `dia-mi-target` sets the removed `--mi-threshold` and `--k`; it exits 2
-  and writes nothing (`dia-mi-target-default` keeps that run's artifacts
-  covered);
-- `dia-kurtosis-tiny` and `dia-kurtosis-huge` end in `ZeroDivisionError`
-  and in exit 3, where the kurtosis taken at a unit peak gives exit 0;
-- `x-fn-zero` ends in `ZeroDivisionError`, `x-fn-negative` exits 0 with a
-  record, and `x-severity-nan`, `x-dec-noise-scale-inf` and
-  `x-dia-noise-scale-inf` exit 2 only after generating or decomposing,
-  where `DefectSimParams`, `gen_defect_signal` and `EnsembleConfig` reject
-  the value first (exit 2, nothing written);
-- `x-sim-seed-negative`, `x-dec-seed-negative` and `x-dia-seed-negative`
-  exit 2 with numpy's "expected non-negative integer", the last two
-  blaming the input file, where `--seed` is refused at parse time with a
-  message that names it (exit 2 either way, nothing written);
-- `csv-latin1` exits 2 with the UTF-8 decoder's message, which names
-  neither the file nor the line, where the read names line 1282 and the
-  byte's offset in the file (exit 2 either way, nothing written);
-- `x-jitter-large` exits 0 with a record in which 4 of the 33 onsets are
-  out of order, so some bursts are dropped, where `DefectSimParams`
-  rejects a `jitter_frac` above 0.5 by name (exit 2, nothing written);
-- the `compare.csv` of `cmp-methods`, `cmp-hurst`, `cmp-ensemble` and
-  `cmp-method` differ in the last digits of the correlations, which
-  `np.dot` took with a multithreaded BLAS and so with digits that depended
-  on its thread count; the calling-thread sums of products give one value
-  (`compare.txt` rounds to 4 places and does not change);
-- `x-rate-zero` and `x-rate-inf` exit 2 blaming `f_n` and the sample
-  count, where `DefectSimParams` names `sample_rate_hz` (exit 2 either way,
-  nothing written);
-- `x-decay-negative` prints two overflow `RuntimeWarning`s and exits 2
-  with "samples must all be finite", where `DefectSimParams` rejects a
-  negative decay `B` by name (exit 2 either way, nothing written).
-
-A row that a tree does not have is not a difference of its artifacts:
-`dec-combined-emd` is new, and a tree without it has no such directory
-and no such lines.
+``tests/test_same_bits.py`` compares a sha256 of every file written
+here against ``tests/data/cli_artifacts.txt``, so an intended change of
+artifacts shows as a diff to that table.
 
 The table runs in under ten seconds on two cores.
 
@@ -102,6 +65,8 @@ ODD_CSV = {
     "nonuniform.csv": ([], "time,value\n" + "".join(
         f"{t + (1e-4 if k == 30 else 0.0)!r},{v!r}\n"
         for k, (t, v) in enumerate(zip(_TIMES, _VALUES)))),
+    # headerless rows after a UTF-8 byte-order mark
+    "bom.csv": ([], "\ufeff" + "".join(f"{row}\n" for row in _ROWS)),
     # a Latin-1 degree sign on line 1282, past the first 8 KiB read
     "latin1.csv": ([], ("time,value\n" + "".join(f"{row}\n" for row in _ROWS * 20)
                         + "# at 21 \xb0C\n" + "".join(f"{row}\n" for row in _ROWS))

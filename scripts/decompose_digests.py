@@ -12,6 +12,9 @@ shows whether a sifting change keeps its outputs bit for bit:
     python scripts/decompose_digests.py --out /tmp/change.txt
     diff /tmp/parent.txt /tmp/change.txt
 
+``tests/test_same_bits.py`` compares these rows against
+``tests/data/decompose_digests.txt``.
+
 Records: 2048 standard normal samples (default_rng(3)), the same draws
 quantized to integer counts round(8 x), whose flat steps take
 `find_extrema`'s flat-step path, a 4096-sample two tone

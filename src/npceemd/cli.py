@@ -11,6 +11,7 @@ import argparse
 import contextlib
 import dataclasses
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -34,6 +35,9 @@ from .signals import Signal, rms
 from .simulate import (
     DefectSimParams,
     DegradationRun,
+    FAILURE_MINUTE,
+    HEALTHY_SEVERITY,
+    NOISY_SNR_DB,
     default_severity_law,
     gen_combined,
     gen_defect_signal,
@@ -120,21 +124,6 @@ def _atomic_write(path: str, lines: Iterable[str]) -> None:
 HELPER_CELLS = 1 << 18
 
 
-def _cells(column: Sequence, start: int, stop: int) -> list[str]:
-    """The text of rows ``start:stop`` of one column: ``csvrows.cells`` of
-    an array's values, and ``str`` of each value of any other column
-    (names, integers, preformatted text)."""
-    if isinstance(column, np.ndarray):
-        return csvrows.cells(column[start:stop].tolist())
-    return [str(v) for v in column[start:stop]]
-
-
-def _blocks(columns: Sequence[Sequence], start: int, stop: int) -> Iterator[str]:
-    """The lines of rows ``start:stop``, ``CSV_BLOCK_ROWS`` rows at a time."""
-    for i in range(start, stop, CSV_BLOCK_ROWS):
-        yield csvrows.rows_text([_cells(c, i, min(i + CSV_BLOCK_ROWS, stop)) for c in columns])
-
-
 def _runs(columns: Sequence[Sequence]) -> list[int]:
     """The row bounds of the runs a table is formatted in, one run per
     process: whole blocks, up to one run per usable CPU for a table of at
@@ -188,7 +177,7 @@ def _write_csv(
     path: str, manifest: dict, header: Iterable[str], columns: Sequence[Sequence]
 ) -> None:
     """Manifest line, header, then one line per row of ``columns``, which
-    are formatted and streamed out ``CSV_BLOCK_ROWS`` rows at a time.
+    ``csvrows.blocks`` formats and streams out ``CSV_BLOCK_ROWS`` rows at a time.
 
     ``columns`` holds one column per header name, all of one length, or
     nothing for a table without rows. Each run of rows after the first
@@ -208,7 +197,7 @@ def _write_csv(
                 _end(helpers)
                 bounds = [0, bounds[-1]]
             fh.write(f"{_manifest_line(manifest)}\n{','.join(header)}\n")
-            fh.writelines(f"{block}\n" for block in _blocks(columns, 0, bounds[1]))
+            fh.writelines(csvrows.blocks(columns, 0, bounds[1]))
             for proc, text in helpers:
                 if proc.wait():
                     raise ChildProcessError(
@@ -303,38 +292,34 @@ def _rows(path: str, lines: list[str]) -> np.ndarray:
 
 
 def _text_lines(path: str) -> list[str]:
-    """The file's lines, read as UTF-8 with universal newlines.
+    """The file's lines, read as UTF-8 without a leading byte-order mark,
+    with universal newlines.
 
     A byte that is not UTF-8 is a ParseError that names its line and its
-    offset in the file; the decoder's own error names neither, and counts
-    its offset within a read chunk.
+    offset in the file; the decoder's own error names neither.
     """
+    with open(path, "rb") as fh:
+        raw = fh.read()
     try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.readlines()
-    except UnicodeDecodeError:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-        try:
-            raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            # Lines end at \r\n, \n or \r, as readlines counts them.
-            head = raw[: exc.start].replace(b"\r\n", b"\n")
-            line = head.count(b"\n") + head.count(b"\r") + 1
-            raise ParseError(
-                f"{path}:{line}: not UTF-8 text (byte 0x{raw[exc.start]:02x} "
-                f"at offset {exc.start})"
-            ) from None
-        raise  # the file changed between the two reads
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # Lines end at \r\n, \n or \r, as readlines counts them.
+        head = raw[: exc.start].replace(b"\r\n", b"\n")
+        line = head.count(b"\n") + head.count(b"\r") + 1
+        raise ParseError(
+            f"{path}:{line}: not UTF-8 text (byte 0x{raw[exc.start]:02x} "
+            f"at offset {exc.start})"
+        ) from None
+    return io.StringIO(text.removeprefix("\ufeff"), newline=None).readlines()
 
 
 def read_signal_csv(path: str, sample_rate_hz: float | None = None) -> Signal:
     """Load a vibration record from CSV.
 
-    Accepts UTF-8 text with ``#`` comment lines, an optional header row,
-    and either a single ``value`` column (sample rate must be supplied) or
-    ``time,value`` columns with uniform spacing (sample rate must not be
-    supplied).
+    Accepts UTF-8 text, with or without a leading byte-order mark, with
+    ``#`` comment lines, an optional header row, and either a single
+    ``value`` column (sample rate must be supplied) or ``time,value``
+    columns with uniform spacing (sample rate must not be supplied).
     """
     data = _rows(path, _text_lines(path))
     width = data.shape[1]
@@ -404,7 +389,7 @@ def _require_seed(args: argparse.Namespace, why: str) -> int:
 
 
 def _noisy_snr(args: argparse.Namespace) -> float:
-    return args.snr_db if args.snr_db is not None else -30.0
+    return args.snr_db if args.snr_db is not None else NOISY_SNR_DB
 
 
 # simulate flag -> DefectSimParams field; each flag defaults to its field.
@@ -658,8 +643,8 @@ def build_parser() -> argparse.ArgumentParser:
     for flag, field in DEFECT_FLAGS.items():
         groups["defect"].add_argument(flag, dest=field, type=float,
                                       default=getattr(DefectSimParams, field), help=field)
-    groups["severity"].add_argument("--severity", type=float, default=1.0)
-    groups["specimens"].add_argument("--specimens", type=int, default=500)
+    groups["severity"].add_argument("--severity", type=float, default=HEALTHY_SEVERITY)
+    groups["specimens"].add_argument("--specimens", type=int, default=FAILURE_MINUTE)
 
     sub = parser.add_subparsers(dest="command", required=True)
 

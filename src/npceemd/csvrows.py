@@ -1,12 +1,12 @@
 """The text of CSV rows, and the helper that formats float rows beside the CLI.
 
-``cells`` and ``rows_text`` are the one row formatter. The CLI's
-``_write_csv`` calls them for the rows it formats itself. A helper, this
-file run as ``python -I -S csvrows.py WIDTH``, calls them for the rows it
-is given: WIDTH float64 columns of one length, in native byte order, one
-after another on stdin. It writes their text to stdout, which the caller
-points at a temporary file and appends to its table in row order. The
-bytes are the same whichever process formats a row.
+``blocks`` is the one table writer. The CLI's ``_write_csv`` calls it for
+the rows it formats itself. A helper, this file run as
+``python -I -S csvrows.py WIDTH``, calls it for the rows it is given:
+WIDTH float64 columns of one length, in native byte order, one after
+another on stdin. It writes their text to stdout, which the caller points
+at a temporary file and appends to its table in row order. The bytes are
+the same whichever process formats a row.
 
 The helper is not a ``workers.WorkerPool`` worker, and this module
 imports nothing beyond the standard library, because start-up decides
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import signal
 import sys
+from collections.abc import Iterator
 
 # Rows formatted and written per block: the whole of a 32768-row table
 # at once would hold every cell's text in memory together.
@@ -35,21 +36,26 @@ def cells(values: list) -> list[str]:
     return repr(values)[1:-1].split(", ")
 
 
-def rows_text(columns: list[list[str]]) -> str:
-    """The lines of a block of rows, given the cell texts of each column."""
-    return "\n".join(map(",".join, zip(*columns)))
+def blocks(columns: list, start: int, stop: int) -> Iterator[str]:
+    """The lines of rows ``start:stop`` of ``columns``, ``CSV_BLOCK_ROWS``
+    rows at a time, each block ending in a newline. A column with
+    ``tolist`` (an ndarray, or a memoryview of doubles) goes through
+    ``cells``, and any other (names, integers, a ``range``) through ``str``."""
+    for i in range(start, stop, CSV_BLOCK_ROWS):
+        j = min(i + CSV_BLOCK_ROWS, stop)
+        texts = [
+            cells(c[i:j].tolist()) if hasattr(c, "tolist") else [str(v) for v in c[i:j]]
+            for c in columns
+        ]
+        yield "\n".join(map(",".join, zip(*texts))) + "\n"
 
 
 def serve(width: int) -> None:
-    """Write the rows of the float64 columns on stdin to stdout, each
-    ``CSV_BLOCK_ROWS`` rows formatted together and followed by a newline."""
+    """Write the rows of the float64 columns on stdin to stdout."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller ends its helpers
     values = memoryview(sys.stdin.buffer.read()).cast("d")
     n = len(values) // width
-    for start in range(0, n, CSV_BLOCK_ROWS):
-        stop = min(start + CSV_BLOCK_ROWS, n)
-        block = [cells(values[c * n + start : c * n + stop].tolist()) for c in range(width)]
-        sys.stdout.write(rows_text(block) + "\n")
+    sys.stdout.writelines(blocks([values[c * n : (c + 1) * n] for c in range(width)], 0, n))
 
 
 if __name__ == "__main__":

@@ -295,18 +295,3 @@ def emd(s: Signal, cfg: SiftConfig | None = None) -> ImfSet:
     imf_set = take_modes(x, cfg.mode_cap(x.size), lambda r, ext, _: sift_mode(r, ext, cfg))
     _from_unit_peak(e, *imf_set.imfs, imf_set.residue)
     return imf_set
-
-
-def zero_crossings(x: np.ndarray) -> int:
-    """Number of sign changes, ignoring exact zeros."""
-    signs = np.sign(np.asarray(x, dtype=np.float64))
-    signs = signs[signs != 0]
-    if signs.size < 2:
-        return 0
-    return int(np.count_nonzero(np.diff(signs)))
-
-
-def imf_criterion_gap(x: np.ndarray) -> int:
-    """|#extrema - #zero crossings|; at most 1 for a well-formed IMF."""
-    max_i, _, min_i, _ = find_extrema(x)
-    return abs(int(max_i.size + min_i.size) - zero_crossings(x))

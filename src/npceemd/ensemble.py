@@ -19,7 +19,7 @@ import numpy as np
 
 from . import workers
 from .emd import (
-    Extrema, ImfSet, SiftConfig, emd, mode_extrema, negligible_level, next_mode_extrema,
+    ImfSet, SiftConfig, emd, mode_extrema, negligible_level, next_mode_extrema,
     sift_mode, take_modes,
 )
 from .noise import generate_fgn, generate_white
@@ -57,28 +57,31 @@ class EnsembleConfig:
             raise ValueError(f"sift must be a SiftConfig, not {self.sift!r}")
 
 
-def _trial_noise(cfg: EnsembleConfig, n: int, trial: int, fractional: bool) -> np.ndarray:
-    """Unit-variance noise for one trial; the seed folds in the trial index
-    so scheduling can never change results."""
+# The signs of a noise realization's trials: x + w alone for eemd, and a
+# plus/minus pair for ceemd and npceemd, whose noise cancels in the mean.
+_SIGNS = {"eemd": (1.0,), "ceemd": (1.0, -1.0), "npceemd": (1.0, -1.0)}
+
+
+def _trial_noise(cfg: EnsembleConfig, n: int, trial: int) -> np.ndarray:
+    """Unit-variance noise for one trial: fGn of the configured Hurst
+    exponent for npceemd, and white noise for the other methods. The seed
+    folds in the trial index so scheduling can never change results."""
     seed = (int(cfg.master_seed), trial)
-    if fractional:
+    if cfg.method == "npceemd":
         return generate_fgn(cfg.hurst, n, seed)
     return generate_white(n, seed)
 
 
 def _realization(
-    x: np.ndarray, rate_hz: float, scale: float, cfg: EnsembleConfig, trial: int,
-    fractional: bool, signs: tuple[float, ...],
+    x: np.ndarray, rate_hz: float, scale: float, cfg: EnsembleConfig, trial: int
 ) -> list[ImfSet]:
     """The trials of one noise realization: ``emd`` of x + sign * w for
-    each sign, with w the trial's noise times ``scale``."""
-    w = scale * _trial_noise(cfg, x.size, trial, fractional=fractional)
-    return [emd(Signal(x + sign * w, rate_hz), cfg.sift) for sign in signs]
+    each of the method's signs, with w the trial's noise times ``scale``."""
+    w = scale * _trial_noise(cfg, x.size, trial)
+    return [emd(Signal(x + sign * w, rate_hz), cfg.sift) for sign in _SIGNS[cfg.method]]
 
 
-def _noise_ensemble(
-    s: Signal, cfg: EnsembleConfig, fractional: bool, signs: tuple[float, ...]
-) -> ImfSet:
+def _noise_ensemble(s: Signal, cfg: EnsembleConfig) -> ImfSet:
     """Decompose the signal plus each sign of every trial's noise realization
     and average all trials; with signs (+1, -1) the injected noise cancels
     in the mean.
@@ -94,10 +97,7 @@ def _noise_ensemble(
     """
     x = s.samples
     scale = cfg.noise_scale * np.std(x)
-    tasks = [
-        (x, s.sample_rate_hz, scale, cfg, j, fractional, signs)
-        for j in range(cfg.ensemble_size)
-    ]
+    tasks = [(x, s.sample_rate_hz, scale, cfg, j) for j in range(cfg.ensemble_size)]
     sums: list[np.ndarray] = []
     residue = np.zeros(x.size)
     for trials in workers.map(_realization, tasks):
@@ -108,7 +108,7 @@ def _noise_ensemble(
             residue += trial.residue
         # Folded: free them before the next realization is sifted or read.
         del trials, trial
-    weight = 1.0 / (cfg.ensemble_size * len(signs))
+    weight = 1.0 / (cfg.ensemble_size * len(_SIGNS[cfg.method]))
     for total in sums:
         total *= weight
     residue *= weight
@@ -122,22 +122,16 @@ NoiseState = tuple[np.ndarray, int, float] | None
 
 
 def _stage_mode(
-    residue: np.ndarray, eps: float, cfg: EnsembleConfig, j: int, k: int,
-    noise: NoiseState,
+    residue: np.ndarray, eps: float, sift: SiftConfig, noise: NoiseState
 ) -> tuple[np.ndarray, NoiseState]:
-    """Trial j's share of CEEMDAN's stage k, and its noise EMD's next state.
+    """One member's share of a CEEMDAN stage, and its noise EMD's next state.
 
-    At k = 0 the trial draws its white noise and scales it to a unit peak,
-    as ``emd`` does. Its noise EMD then gives mode k, scaled back by 2**e,
-    unless ``next_mode_extrema``, the stop that ``take_modes`` uses, ends
-    it (the mode cap holds, as the stages stop at the same cap); the
-    residue plus eps times that mode, or the residue alone once the noise
-    EMD has ended, gives up its first mode: itself when it has too few
-    extrema to sift.
+    The noise EMD gives its next mode, scaled back by 2**e, unless
+    ``next_mode_extrema``, the stop that ``take_modes`` uses, ends it (the
+    mode cap holds, as the stages stop at the same cap); the residue plus
+    eps times that mode, or the residue alone once the noise EMD has ended,
+    gives up its first mode: itself when it has too few extrema to sift.
     """
-    if k == 0:
-        w, e = _to_unit_peak(_trial_noise(cfg, residue.size, j, fractional=False))
-        noise = w, e, negligible_level(w)
     perturbed = residue
     if noise is not None:
         w, e, negligible = noise
@@ -145,11 +139,11 @@ def _stage_mode(
         if extrema is None:
             noise = None
         else:
-            mode = sift_mode(w, extrema, cfg.sift)
+            mode = sift_mode(w, extrema, sift)
             noise = w - mode, e, negligible
             perturbed = residue + eps * np.ldexp(mode, e)
     extrema = mode_extrema(perturbed)
-    return (perturbed if extrema is None else sift_mode(perturbed, extrema, cfg.sift)), noise
+    return (perturbed if extrema is None else sift_mode(perturbed, extrema, sift)), noise
 
 
 def _ceemdan(s: Signal, cfg: EnsembleConfig) -> ImfSet:
@@ -169,11 +163,16 @@ def _ceemdan(s: Signal, cfg: EnsembleConfig) -> ImfSet:
     the same bits at any worker count.
     """
     x = s.samples
-    noises: list[NoiseState] = [None] * cfg.ensemble_size
+    noises: list[NoiseState] = []
+    for j in range(cfg.ensemble_size):
+        # Each member's white noise, scaled to a unit peak as ``emd`` does.
+        w, e = _to_unit_peak(_trial_noise(cfg, x.size, j))
+        noises.append((w, e, negligible_level(w)))
+    del w  # the first stage replaces it, so it must not outlive that stage
 
-    def stage(residue: np.ndarray, _: Extrema, k: int) -> np.ndarray:
+    def stage(residue: np.ndarray, *_: object) -> np.ndarray:
         eps = cfg.noise_scale * np.std(residue)
-        tasks = [(residue, eps, cfg, j, k, noises[j]) for j in range(cfg.ensemble_size)]
+        tasks = [(residue, eps, cfg.sift, noise) for noise in noises]
         noises.clear()
         total = np.zeros(x.size)
         for j, (mode, noise) in enumerate(workers.map(_stage_mode, tasks)):
@@ -198,14 +197,13 @@ def decompose(s: Signal, cfg: EnsembleConfig) -> ImfSet:
     (``signals._to_unit_peak``); a mode that outgrows the largest float
     when scaled back raises ValueError.
     """
+    if cfg.method == "emd":
+        return emd(s, cfg.sift)
     x, e = _to_unit_peak(s.samples)
     scaled = Signal(x, s.sample_rate_hz)
-    if cfg.method == "emd":
-        imf_set = emd(scaled, cfg.sift)
-    elif cfg.method == "ceemdan":
+    if cfg.method == "ceemdan":
         imf_set = _ceemdan(scaled, cfg)
     else:
-        signs = (1.0,) if cfg.method == "eemd" else (1.0, -1.0)
-        imf_set = _noise_ensemble(scaled, cfg, fractional=cfg.method == "npceemd", signs=signs)
+        imf_set = _noise_ensemble(scaled, cfg)
     _from_unit_peak(e, *imf_set.imfs, imf_set.residue)
     return imf_set

@@ -21,6 +21,8 @@ IMPULSE_CARRIER_HZ = 1400.0
 IMPULSE_AMPLITUDE = 100.0
 IMPULSE_DECAY = 900.0
 IMPULSE_PERIOD_S = 1.0 / 20.0
+# The SNR of the noisy combined fixture when no other is given.
+NOISY_SNR_DB = -30.0
 
 
 def _fixture_times() -> np.ndarray:
@@ -172,9 +174,15 @@ def gen_defect_signal(p: DefectSimParams, severity: float) -> Signal:
     return Signal(x, p.sample_rate_hz)
 
 
+# The default severity law's near-healthy floor, and the minute at which
+# its ramp from minute 300 reaches severity 10.
+HEALTHY_SEVERITY = 1.0
+FAILURE_MINUTE = 500
+
+
 def default_severity_law(minute: int) -> float:
     """Near-healthy floor with a linear ramp after minute 300."""
-    return 1.0 + 9.0 * max(0.0, (minute - 300.0) / 200.0)
+    return HEALTHY_SEVERITY + 9.0 * max(0.0, (minute - 300.0) / (FAILURE_MINUTE - 300.0))
 
 
 def gen_degradation_run(p: DefectSimParams, n_specimens: int) -> DegradationRun:

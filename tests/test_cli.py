@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from npceemd import DefectSimParams, EnsembleConfig, ImfSet, decompose
-from npceemd import cli, workers
+from npceemd import cli, csvrows, workers
 from npceemd.cli import (
     CSV_BLOCK_ROWS,
     EXIT_INCONCLUSIVE,
@@ -281,6 +281,22 @@ def test_a_byte_that_is_not_utf8_names_its_line_and_offset(tmp_path, capsys, new
     assert not out.exists()
 
 
+@pytest.mark.parametrize("head, rate", [
+    ("", None), ("", 500.0), ("time,value\n", None), ("# a note\ntime,value\n", None),
+], ids=["two-columns", "one-column", "header", "comment-header"])
+def test_a_byte_order_mark_is_not_read_as_a_header(tmp_path, head, rate):
+    # A UTF-8 BOM before the first row made that row the header, so the
+    # first sample was lost; before a comment it made the comment the
+    # header and the real header a parse error
+    values = [2.0, -1.0, 0.5, 3.0, -2.5]
+    rows = [f"{v!r}" if rate else f"{k / 500!r},{v!r}" for k, v in enumerate(values)]
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + (head + "\n".join(rows) + "\n").encode())
+    s = read_signal_csv(str(path), rate)
+    assert s.samples.tolist() == values
+    assert s.sample_rate_hz == 500.0
+
+
 # Values whose text is easy to get wrong: signed zero, infinities, nan, the
 # smallest subnormal, the first integer-valued float shown with an exponent,
 # and a value with no exact binary form.
@@ -406,7 +422,7 @@ class TestWriteCsvHelpers:
             raise KeyboardInterrupt
 
         monkeypatch.setattr(subprocess, "Popen", popen)
-        monkeypatch.setattr(cli, "_cells", interrupt)
+        monkeypatch.setattr(csvrows, "cells", interrupt)
         with pytest.raises(KeyboardInterrupt):
             _write_csv(str(tmp_path / "t.csv"), {}, "abcd", self.columns(4 * CSV_BLOCK_ROWS))
         assert len(started) == 2

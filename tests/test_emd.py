@@ -23,14 +23,23 @@ from npceemd import (
     sift_once,
     spline_envelope,
 )
-from npceemd.emd import (
-    SiftConfig,
-    TooFewExtrema,
-    _mirror_extend,
-    imf_criterion_gap,
-    zero_crossings,
-)
+from npceemd.emd import SiftConfig, TooFewExtrema, _mirror_extend
 from conftest import pearson
+
+
+def zero_crossings(x: np.ndarray) -> int:
+    """Number of sign changes, ignoring exact zeros."""
+    signs = np.sign(np.asarray(x, dtype=np.float64))
+    signs = signs[signs != 0]
+    if signs.size < 2:
+        return 0
+    return int(np.count_nonzero(np.diff(signs)))
+
+
+def imf_criterion_gap(x: np.ndarray) -> int:
+    """|#extrema - #zero crossings|; at most 1 for a well-formed IMF."""
+    max_i, _, min_i, _ = find_extrema(x)
+    return abs(int(max_i.size + min_i.size) - zero_crossings(x))
 
 
 def test_find_extrema_single_period_sine():

@@ -35,23 +35,27 @@ def cfg_for(method: str, **kw) -> EnsembleConfig:
 
 
 def spy_on_trials(monkeypatch):
-    """Record each (trial, fractional, noise) that ``_trial_noise`` gives
-    and the samples of each signal the ensemble hands to ``emd``. The
-    trials run in the caller, where the spies are, not on workers."""
+    """Record each (trial, fractional, noise) that the ensemble draws, by
+    the noise generator it calls, and the samples of each signal it hands
+    to ``emd``. The trials run in the caller, where the spies are, not on
+    workers."""
     monkeypatch.setattr(workers, "usable_cpus", lambda: 1)
     noises, inputs = [], []
-    trial_noise, run_emd = ensemble._trial_noise, ensemble.emd
+    run_emd = ensemble.emd
 
-    def noise_spy(cfg, n, trial, fractional):
-        w = trial_noise(cfg, n, trial, fractional)
-        noises.append((trial, fractional, w))
-        return w
+    def noise_spy(generate, fractional):
+        def spy(*args):  # the seed, last, is (master_seed, trial)
+            w = generate(*args)
+            noises.append((args[-1][1], fractional, w))
+            return w
+        return spy
 
     def emd_spy(s, cfg=None):
         inputs.append(s.samples)
         return run_emd(s, cfg)
 
-    monkeypatch.setattr(ensemble, "_trial_noise", noise_spy)
+    monkeypatch.setattr(ensemble, "generate_fgn", noise_spy(ensemble.generate_fgn, True))
+    monkeypatch.setattr(ensemble, "generate_white", noise_spy(ensemble.generate_white, False))
     monkeypatch.setattr(ensemble, "emd", emd_spy)
     return noises, inputs
 
@@ -132,7 +136,7 @@ def two_phase_ceemdan(s: Signal, cfg: EnsembleConfig) -> ImfSet:
     EMD. The reference for the stage-wise noise EMDs of ``_ceemdan``."""
     x, e = _to_unit_peak(s.samples)
     noise_modes = [
-        emd(Signal(ensemble._trial_noise(cfg, x.size, j, False), s.sample_rate_hz), cfg.sift).imfs
+        emd(Signal(ensemble._trial_noise(cfg, x.size, j), s.sample_rate_hz), cfg.sift).imfs
         for j in range(cfg.ensemble_size)
     ]
 
@@ -187,7 +191,7 @@ class TestCeemdan:
             # every noise EMD ends before the signal's third and last
             # stage, and the fourth member's before the second
             counts = [
-                emd(Signal(ensemble._trial_noise(cfg, 16, j, False), 1.0)).n_imfs
+                emd(Signal(ensemble._trial_noise(cfg, 16, j), 1.0)).n_imfs
                 for j in range(4)
             ]
             assert (counts, out.n_imfs) == ([2, 2, 2, 1], 3)

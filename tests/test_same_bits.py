@@ -65,7 +65,12 @@ def fresh_tables(work: str) -> dict[str, list[str]]:
         subprocess.Popen([sys.executable, os.path.join(ROOT, "scripts", script), "--out", out])
         for script, out in (("decompose_digests.py", digests), ("cli_artifacts.py", artifacts))
     ]
-    codes = [proc.wait() for proc in procs]
+    try:
+        codes = [proc.wait(timeout=300) for proc in procs]
+    finally:
+        for proc in procs:  # a script still running after the timeout ends here
+            proc.kill()
+            proc.wait()
     assert codes == [0, 0], f"the scripts exited with {codes}"
     with open(digests) as fh:
         rows = fh.read().splitlines()
