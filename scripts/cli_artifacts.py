@@ -85,6 +85,9 @@ INVOCATIONS = [
     ("sim-noisy-snr", ["simulate", "combined-noisy", "--seed", "2", "--snr-db", "0"]),
     ("sim-defect", ["simulate", "defect", "--seed", "1"]),
     ("sim-defect-flags", ["simulate", "defect", "--seed", "5", "--severity", "3", *FIXTURE_FLAGS]),
+    # the bursts alone, at the largest jitter: no noise to absorb a last bit
+    ("sim-defect-clean", ["simulate", "defect", "--seed", "3", "--severity", "7",
+                          "--noise-sigma", "0", "--jitter-frac", "0.5"]),
     ("sim-run", ["simulate", "degradation-run", "--seed", "4", "--specimens", "3",
                  "--duration", "0.1"]),
     ("sim-run-flags", ["simulate", "degradation-run", "--seed", "6", "--specimens", "2",

@@ -359,15 +359,18 @@ def _write_signal_csv(path: str, manifest: dict, s: Signal) -> None:
 def _write_run(path: str, manifest: dict, run: DegradationRun) -> None:
     """One CSV per specimen, the index at ``path``, and the RMS trend."""
     out = os.path.dirname(path)
-    minutes = range(1, len(run.specimens) + 1)
+    minutes = range(1, run.n_specimens + 1)
     names = [f"specimen_{m:04d}.csv" for m in minutes]
-    for name, s in zip(names, run.specimens):
+    rms_values = []
+    for m, name in zip(minutes, names):  # one specimen in memory at a time
+        s = run.specimen(m)
         _write_signal_csv(os.path.join(out, name), manifest, s)
+        rms_values.append(rms(s))
     _write_csv(path, manifest, ["minute", "filename", "severity"], [
         minutes, names, [float(default_severity_law(m)) for m in minutes],
     ])
     _write_csv(os.path.join(out, "rms_trend.csv"), manifest, ["minute", "rms"], [
-        [float(m) for m in minutes], [rms(s) for s in run.specimens],
+        [float(m) for m in minutes], rms_values,
     ])
 
 

@@ -125,23 +125,6 @@ class DefectSimParams:
         return 1.0 / self.T_prime
 
 
-@dataclass(eq=False)
-class DegradationRun:
-    """One specimen per minute from a simulated run to failure."""
-
-    specimens: list[Signal]
-
-    def __post_init__(self) -> None:
-        rates = {s.sample_rate_hz for s in self.specimens}
-        lengths = {len(s) for s in self.specimens}
-        if len(rates) > 1 or len(lengths) > 1:
-            raise ValueError("specimens must share sample rate and length")
-
-    def specimen(self, minute: int) -> Signal:
-        """Specimen recorded at a 1-based minute."""
-        return self.specimens[minute - 1]
-
-
 def gen_defect_signal(p: DefectSimParams, severity: float) -> Signal:
     """One vibration record of jittered, amplitude-modulated resonance bursts.
 
@@ -159,16 +142,19 @@ def gen_defect_signal(p: DefectSimParams, severity: float) -> Signal:
     n_bursts = int(math.floor(p.duration_s / p.T_prime))
     jitter = rng.uniform(-1.0, 1.0, n_bursts) * p.jitter_frac * p.T_prime
     onsets = (np.arange(1, n_bursts + 1) * p.T_prime + jitter).clip(min=0.0)
+    # Burst i covers t[bounds[i]:bounds[i + 1]]: the bursts tile
+    # t[bounds[0]:bounds[-1]], and a burst that starts past the end is empty.
+    bounds = np.searchsorted(t, np.append(onsets, p.duration_s), side="left")
+    counts = np.diff(bounds)
+    # math.cos per onset keeps the amplitudes libm's, whatever numpy's SIMD cos gives.
+    amps = [severity * p.amplitude_scale * math.cos(2.0 * math.pi * p.f_m * tau)
+            for tau in onsets.tolist()]
+    u = t[bounds[0]:bounds[-1]] - np.repeat(onsets, counts)
     x = np.zeros(n)
-    for i, tau in enumerate(onsets):
-        amp = severity * p.amplitude_scale * math.cos(2.0 * math.pi * p.f_m * tau)
-        t_end = onsets[i + 1] if i + 1 < n_bursts else p.duration_s
-        lo = int(np.searchsorted(t, tau, side="left"))
-        hi = int(np.searchsorted(t, t_end, side="left"))
-        if lo >= hi:
-            continue
-        u = t[lo:hi] - tau
-        x[lo:hi] += amp * np.exp(-p.B * u) * np.cos(2.0 * math.pi * p.f_n * u)
+    # Added, not assigned: 0.0 + -0.0 is 0.0, as the records have always held.
+    x[bounds[0]:bounds[-1]] += (
+        np.repeat(amps, counts) * np.exp(-p.B * u) * np.cos(2.0 * math.pi * p.f_n * u)
+    )
     if p.noise_sigma > 0:
         x += p.noise_sigma * rng.standard_normal(n)
     return Signal(x, p.sample_rate_hz)
@@ -185,18 +171,46 @@ def default_severity_law(minute: int) -> float:
     return HEALTHY_SEVERITY + 9.0 * max(0.0, (minute - 300.0) / (FAILURE_MINUTE - 300.0))
 
 
+@dataclass(frozen=True, eq=False)
+class DegradationRun:
+    """A simulated run to failure: one specimen per minute, built when read.
+
+    Minute m is ``gen_defect_signal`` of ``params`` reseeded with
+    ``child_seeds[m - 1]``, at ``default_severity_law(m)``.
+    """
+
+    params: DefectSimParams
+    child_seeds: tuple[int, ...]
+
+    @property
+    def n_specimens(self) -> int:
+        """Number of minutes in the run."""
+        return len(self.child_seeds)
+
+    def specimen(self, minute: int) -> Signal:
+        """Specimen recorded at a 1-based minute."""
+        _check_int("minute", minute, 1)
+        if minute > self.n_specimens:
+            raise ValueError(f"minute must be <= n_specimens ({self.n_specimens}), got {minute}")
+        return gen_defect_signal(
+            replace(self.params, seed=self.child_seeds[minute - 1]), default_severity_law(minute)
+        )
+
+    @property
+    def specimens(self) -> list[Signal]:
+        """Every specimen, in minute order, built afresh on each read."""
+        return [self.specimen(m) for m in range(1, self.n_specimens + 1)]
+
+
 def gen_degradation_run(p: DefectSimParams, n_specimens: int) -> DegradationRun:
     """One specimen per minute with severity from ``default_severity_law``.
 
     Per-specimen seeds are derived deterministically from the parameter
-    seed, so the run is reproducible and specimens are independent.
+    seed, so the run is reproducible and specimens are independent. No
+    specimen is built until it is read.
     """
     _check_int("n_specimens", n_specimens, 1)
     child_seeds = np.random.SeedSequence(p.seed).generate_state(
         n_specimens, dtype=np.uint64
     )
-    specimens = [
-        gen_defect_signal(replace(p, seed=int(child_seeds[m - 1])), default_severity_law(m))
-        for m in range(1, n_specimens + 1)
-    ]
-    return DegradationRun(specimens=specimens)
+    return DegradationRun(p, tuple(child_seeds.tolist()))

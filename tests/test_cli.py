@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from npceemd import DefectSimParams, EnsembleConfig, ImfSet, decompose
-from npceemd import cli, csvrows, workers
+from npceemd import cli, csvrows, simulate, workers
 from npceemd.cli import (
     CSV_BLOCK_ROWS,
     EXIT_INCONCLUSIVE,
@@ -95,6 +95,20 @@ class TestSimulate:
         trend = read_lines(tmp_path / "rms_trend.csv")
         assert trend[1] == "minute,rms"
         assert len(trend) == 2 + 3
+
+    def test_degradation_run_builds_each_specimen_once(self, tmp_path, monkeypatch):
+        # the specimen files and the RMS trend share one build per minute
+        built = []
+        make = simulate.gen_defect_signal
+
+        def spy(p, severity):
+            built.append(severity)
+            return make(p, severity)
+
+        monkeypatch.setattr(simulate, "gen_defect_signal", spy)
+        assert run("simulate", "degradation-run", "--specimens", "5", "--seed", "4",
+                   "--duration", "0.05", "--out", str(tmp_path)) == EXIT_OK
+        assert built == [simulate.default_severity_law(m) for m in range(1, 6)]
 
 
 class TestReadSignalCsv:

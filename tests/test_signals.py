@@ -42,6 +42,7 @@ NON_FINITE = ("nan", "inf", "-inf")
 _RNG = np.random.default_rng(2)
 RECORD = Signal(_RNG.standard_normal(64), 100.0)  # Nyquist 50 Hz
 NOISE = _RNG.standard_normal(64)
+RUN = gen_degradation_run(DefectSimParams(duration_s=0.01), 2)
 
 
 def _field(cls, name):
@@ -101,6 +102,10 @@ FIELDS = [
      {**POSITIVE, "0": "a healthy record: noise only"}, {}),
     ("gen_degradation_run.n_specimens", "int",
      lambda v: gen_degradation_run(DefectSimParams(duration_s=0.01), v), NUMPY_INT, {}),
+    # 0 and -1 indexed from the run's end, True read minute 1, 2.0 raised a
+    # TypeError and 3, past the run's 2 minutes, an IndexError
+    ("specimen.minute", "int", lambda v: RUN.specimen(v), {},
+     {"int64(3)": "minute must be <= n_specimens (2)"}),
     ("knn_mutual_information.k", "int", lambda v: knn_mutual_information(RECORD.samples, NOISE, v),
      NUMPY_INT, {}),
     ("mix_to_snr.snr_db", "real", lambda v: mix_to_snr(RECORD, 0, v),

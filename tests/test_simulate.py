@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,9 @@ from npceemd import (
     gen_tone,
     rms,
 )
+from npceemd import simulate
 from npceemd.noise import MAX_FGN_LENGTH
+from npceemd.simulate import default_severity_law
 
 
 class TestToneFixture:
@@ -131,8 +134,8 @@ class TestDefectSignal:
         # Consecutive onsets differ by T' * (1 + jitter_frac * (u2 - u1)) with
         # u uniform in [-1, 1), which stays positive up to jitter_frac = 0.5.
         # At 0.9, seed 3 put 4 of 33 onsets out of order and dropped bursts;
-        # DefectSimParams now refuses it. Each burst looks up its onset and
-        # then its end, the next onset, in the sample times.
+        # DefectSimParams now refuses it. One lookup of the onsets and the
+        # record's end in the sample times gives every burst's bounds.
         looked_up = []
         searchsorted = np.searchsorted
 
@@ -143,12 +146,67 @@ class TestDefectSignal:
         monkeypatch.setattr(np, "searchsorted", spy)
         for seed in range(20):
             looked_up.clear()
-            gen_defect_signal(DefectSimParams(jitter_frac=0.5, noise_sigma=0.0, seed=seed), 1.0)
-            onsets = np.array(looked_up[::2])
+            p = DefectSimParams(jitter_frac=0.5, noise_sigma=0.0, seed=seed)
+            gen_defect_signal(p, 1.0)
+            assert len(looked_up) == 1 and looked_up[0][-1] == p.duration_s
+            onsets = looked_up[0][:-1]
             assert onsets.size == 33
             assert np.all(np.diff(onsets) > 0), seed
         with pytest.raises(ValueError, match="^jitter_frac must be at most 0.5"):
             DefectSimParams(jitter_frac=0.9, seed=3)
+
+
+def per_burst(p: DefectSimParams, severity: float) -> tuple[np.ndarray, np.ndarray]:
+    """The record and its onsets from one burst at a time, as
+    gen_defect_signal was first written: the oracle for its vectorized pass."""
+    rng = np.random.default_rng(p.seed)
+    n = int(round(p.duration_s * p.sample_rate_hz))
+    t = np.arange(n, dtype=np.float64) / p.sample_rate_hz
+    n_bursts = int(math.floor(p.duration_s / p.T_prime))
+    jitter = rng.uniform(-1.0, 1.0, n_bursts) * p.jitter_frac * p.T_prime
+    onsets = (np.arange(1, n_bursts + 1) * p.T_prime + jitter).clip(min=0.0)
+    x = np.zeros(n)
+    for i, tau in enumerate(onsets):
+        amp = severity * p.amplitude_scale * math.cos(2.0 * math.pi * p.f_m * tau)
+        t_end = onsets[i + 1] if i + 1 < n_bursts else p.duration_s
+        lo = int(np.searchsorted(t, tau, side="left"))
+        hi = int(np.searchsorted(t, t_end, side="left"))
+        if lo >= hi:
+            continue
+        u = t[lo:hi] - tau
+        x[lo:hi] += amp * np.exp(-p.B * u) * np.cos(2.0 * math.pi * p.f_n * u)
+    if p.noise_sigma > 0:
+        x += p.noise_sigma * rng.standard_normal(n)
+    return x, onsets
+
+
+# (params, whether some seed of 0-19 launches its last burst past the end)
+BURST_CASES = {
+    "defaults": ({}, False),
+    # 33 * T' = 0.495 s: a jitter above 5 ms puts the last onset past 0.5 s
+    "largest-jitter": ({"jitter_frac": 0.5}, True),
+    "noise-free": ({"noise_sigma": 0.0}, False),
+    "no-burst": ({"duration_s": 0.01}, False),
+    "duration-not-a-multiple": ({"duration_s": 0.4937}, False),
+    # and here one above 0.1 ms does
+    "last-onset-past-the-end": ({"duration_s": 0.4951, "jitter_frac": 0.5, "noise_sigma": 0.0},
+                                True),
+}
+
+
+@pytest.mark.parametrize("case", BURST_CASES)
+def test_same_bytes_as_one_burst_at_a_time(case):
+    params, past_the_end = BURST_CASES[case]
+    last_onsets = []
+    for seed in range(20):
+        p = DefectSimParams(**params, seed=seed)
+        for severity in (0, 1, 7.3, 10):
+            expected, onsets = per_burst(p, severity)
+            assert gen_defect_signal(p, severity).samples.tobytes() == expected.tobytes(), (
+                seed, severity)
+        last_onsets.extend(onsets[-1:])
+    assert (not last_onsets) == (case == "no-burst")
+    assert any(t > p.duration_s for t in last_onsets) == past_the_end
 
 
 class TestDegradationRun:
@@ -179,6 +237,21 @@ class TestDegradationRun:
         run = gen_degradation_run(DefectSimParams(seed=8), 3)
         assert len({len(s) for s in run.specimens}) == 1
         assert len({s.sample_rate_hz for s in run.specimens}) == 1
+
+    def test_no_specimen_is_built_until_one_is_read(self, monkeypatch):
+        built = []
+        make = simulate.gen_defect_signal
+        monkeypatch.setattr(simulate, "gen_defect_signal",
+                            lambda p, severity: built.append(p.seed) or make(p, severity))
+        p = DefectSimParams(seed=9)
+        run = gen_degradation_run(p, 500)
+        assert built == []
+        specimen = run.specimen(440)
+        child_seeds = np.random.SeedSequence(p.seed).generate_state(500, dtype=np.uint64)
+        assert built == [child_seeds[439]]
+        expected = make(replace(p, seed=child_seeds[439]), default_severity_law(440))
+        assert specimen.samples.tobytes() == expected.samples.tobytes()
+        assert specimen.sample_rate_hz == expected.sample_rate_hz
 
 
 def test_invalid_params_rejected():
